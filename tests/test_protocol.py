@@ -1,5 +1,7 @@
 """Node round transition: checks, teardown, construction, advice pipeline."""
 
+import pytest
+
 from linfly.core import (
     Advice,
     FlyConstL,
@@ -210,6 +212,40 @@ def test_construction_rejects_unknown_sender():
     new, _ = run_node(st, [FlyConstL(w=3, level=1, sender=7)])
     assert new.exit == 1
 
+
+
+def _fly_receiver(msg_type, levels):
+    """A settled node whose side facing a FlyConst sender holds `levels`
+    levels: FlyConstR grows the receiver's left side, FlyConstL its right."""
+    if msg_type is FlyConstR:
+        return NodeState(id=5, L=[4, 3][:levels], vid=5, c_par=4, c_dist=4,
+                         flyid=1)
+    return NodeState(id=5, R=[6, 7][:levels], vid=1, c_dist=0)
+
+
+@pytest.mark.parametrize("msg_type", [FlyConstR, FlyConstL])
+def test_construction_next_level_must_match_witness(msg_type):
+    near, far = (4, 3) if msg_type is FlyConstR else (6, 7)
+    st = _fly_receiver(msg_type, 2)
+    ok, out = run_node(st, [msg_type(w=far, level=1, sender=near)])
+    assert ok.exit == 0 and RejFlyover() not in (m for _, m in out.sends)
+    new, out = run_node(st, [msg_type(w=9, level=1, sender=near)])
+    assert new.exit == 1
+    assert {d for d, m in out.sends if m == RejFlyover()} == {near, 9}
+
+
+@pytest.mark.parametrize("msg_type", [FlyConstR, FlyConstL])
+def test_construction_beyond_known_levels_keeps_ids(msg_type):
+    msg = msg_type(w=2, level=3, sender=9)
+    st = _fly_receiver(msg_type, 2)
+    new, out = run_node(st, [msg])
+    # two levels known, level 3 announced: no fault, the ids go to base memory
+    assert new.exit == 0 and RejFlyover() not in (m for _, m in out.sends)
+    assert new.base_mem == {2, 9}
+    assert (new.L, new.R) == (st.L, st.R)
+    # with a single level the announcement is simply ignored
+    new1, _ = run_node(_fly_receiver(msg_type, 1), [msg])
+    assert new1.exit == 0 and new1.base_mem == set()
 
 # --- metadata ---------------------------------------------------------------
 
