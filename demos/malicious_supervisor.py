@@ -9,7 +9,7 @@ fabricated id ever leaked into node memory.
 
 import argparse
 
-from linfly.engine import SUPERVISOR_MODES, Scenario, run, track_provenance
+from linfly.engine import SUPERVISOR_MODES, Scenario, run
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
         m = res.metrics
         print(f"{mode:<12} {str(m.rounds_to_legal):>8} "
               f"{str(m.rounds_to_all_reject):>12} "
-              f"{str(res.advice_rounds):>14} {track_provenance(res):>9}")
+              f"{str(res.advice_rounds):>14} {m.sybil_violations:>9}")
     print("\nEvery mode ends legal; lying only costs rounds, never safety.")
 
 

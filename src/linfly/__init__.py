@@ -5,95 +5,3 @@ sort themselves into a path, a supervisor may hand out flyover advice
 that shortcuts convergence, and every piece of advice is checked locally
 so a lying supervisor can only be ignored, never obeyed into a bad state.
 """
-
-from .baseline import base_step, dr_delegate, flush
-from .core import (
-    Configuration,
-    NodeId,
-    NodeState,
-    communication_graph,
-    extract_graph,
-    initial_configuration,
-    is_weakly_connected,
-)
-from .engine import (
-    CORRUPTIONS,
-    SUPERVISOR_MODES,
-    TOPOLOGIES,
-    RunMetrics,
-    RunResult,
-    Scenario,
-    classify_structures,
-    distance_floor_check,
-    inject_faults,
-    is_legal,
-    make_topology,
-    run,
-    seed_backbone,
-    seed_flyover,
-    step_round,
-    track_provenance,
-)
-from .protocol import next_stop, node_round, well_formed_advice
-from .supervisor import (
-    STRATEGIES,
-    compute_advice,
-    honest_step,
-    make_supervisor,
-    malicious_step,
-    restrict_advice,
-    snapshot_graph,
-)
-from .ttp import (
-    LabelledRootedTree,
-    enumerate_labelled_trees,
-    label_tree,
-    oracle_is_valid_output,
-    tree_to_path,
-    verify_all_trees,
-)
-
-__all__ = [
-    "CORRUPTIONS",
-    "Configuration",
-    "LabelledRootedTree",
-    "NodeId",
-    "NodeState",
-    "RunMetrics",
-    "RunResult",
-    "STRATEGIES",
-    "SUPERVISOR_MODES",
-    "Scenario",
-    "TOPOLOGIES",
-    "base_step",
-    "classify_structures",
-    "communication_graph",
-    "compute_advice",
-    "distance_floor_check",
-    "dr_delegate",
-    "enumerate_labelled_trees",
-    "extract_graph",
-    "flush",
-    "honest_step",
-    "initial_configuration",
-    "inject_faults",
-    "is_legal",
-    "is_weakly_connected",
-    "label_tree",
-    "make_supervisor",
-    "make_topology",
-    "malicious_step",
-    "next_stop",
-    "node_round",
-    "oracle_is_valid_output",
-    "restrict_advice",
-    "run",
-    "seed_backbone",
-    "seed_flyover",
-    "snapshot_graph",
-    "step_round",
-    "track_provenance",
-    "tree_to_path",
-    "verify_all_trees",
-    "well_formed_advice",
-]

@@ -11,13 +11,9 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 NodeId = int
-
-# Marker for the supervisor as a message destination; consecutive-id pairs
-# of real nodes define the target topology, so node ids are plain ints.
-SUPERVISOR = "supervisor"
 
 
 # --- wire messages ---------------------------------------------------------
@@ -261,19 +257,17 @@ def message_key(msg: Message):
 
 
 def message_to_obj(msg: Message) -> list:
-    name = type(msg).__name__
-    if isinstance(msg, Verified):
-        return [name, msg.kind, msg.id]
-    if isinstance(msg, (Neighborhood, Base)):
-        return [name, list(msg.ids() if isinstance(msg, Neighborhood) else msg.payload)]
-    if isinstance(msg, Rev):
-        return [name, msg.dest, list(msg.payload)]
-    if isinstance(msg, Advice):
-        return [name, msg.vid, msg.c_par, msg.c_dist, msg.par, msg.dist]
-    vals = []
-    for f in type(msg).__dataclass_fields__:
-        vals.append(getattr(msg, f))
-    return [name] + vals
+    return [type(msg).__name__] + [getattr(msg, f) for f in msg.__dataclass_fields__]
+
+
+def vouched_ids(msgs) -> set[NodeId]:
+    """Ids that the node-originated messages among msgs hand to their
+    receiver; supervisor messages (Advice, RequestSnapshot) vouch for none."""
+    out: set[NodeId] = set()
+    for msg in msgs:
+        if not isinstance(msg, (Advice, RequestSnapshot)):
+            out.update(msg.ids())
+    return out
 
 
 # --- node state ------------------------------------------------------------
@@ -454,26 +448,18 @@ def is_weakly_connected(graph) -> bool:
     to a set of successors (nodes without edges still need a key).
     """
     if isinstance(graph, Configuration):
-        nodes = graph.ids()
         adj = communication_graph(graph)
+    elif all(u in graph.get(v, ()) for u, succs in graph.items() for v in succs):
+        adj = graph  # already undirected; no copy, supervisor snapshots can be dense
     else:
-        nodes = sorted(graph)
         adj = {u: set() for u in graph}
         for u, succs in graph.items():
             for v in succs:
                 adj[u].add(v)
                 adj.setdefault(v, set()).add(u)
-    if len(nodes) <= 1:
+    if len(adj) <= 1:
         return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(nodes)
+    return len(bfs_distances(adj, min(adj))) == len(adj)
 
 
 def bfs_distances(adj: dict[NodeId, set[NodeId]], source: NodeId) -> dict[NodeId, int]:

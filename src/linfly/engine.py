@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    Advice,
     Configuration,
     FlyConstR,
     NodeId,
@@ -29,7 +28,6 @@ from .core import (
     PathMinus,
     PathPlus,
     RejFlyover,
-    RequestSnapshot,
     TestCert,
     TestFlyID,
     TestLineR,
@@ -40,6 +38,7 @@ from .core import (
     explicit_edges,
     initial_configuration,
     is_weakly_connected,
+    vouched_ids,
 )
 from .protocol import node_round as _protocol_node_round
 from .supervisor import STRATEGIES, honest_step, make_supervisor
@@ -308,10 +307,8 @@ def step_round(config: Configuration, stats: Optional[RoundStats] = None,
     for u in sorted(nodes):
         st = nodes[u]
         delivered = deliveries[u]
-        vouched = {u} | st.address_ids()
-        for msg in delivered:
-            if not isinstance(msg, (Advice, RequestSnapshot)):
-                vouched.update(msg.ids())
+        vouched = vouched_ids(delivered) | st.address_ids()
+        vouched.add(u)
         st, out = node_round(st, delivered)
         nodes[u] = st
         if out.did_reject:
@@ -511,18 +508,9 @@ def is_legal(config: Configuration, c_extra: int = 2) -> bool:
     return True
 
 
-def track_provenance(result: RunResult) -> int:
-    """Total count of unvouched ids stored or sent across the whole run."""
-    return result.metrics.sybil_violations
-
-
-def distance_floor_check(result: RunResult,
-                         pair: Optional[tuple[NodeId, NodeId]] = None) -> bool:
+def distance_floor_check(result: RunResult) -> bool:
     """Distances can at best halve per round, starting from the initial
     distance of the designated pair."""
-    if pair is not None and result.pair is not None \
-            and tuple(pair) != tuple(result.pair):
-        raise ValueError("run was recorded for a different pair")
     dists = result.pair_distances
     if not dists:
         return True
@@ -645,9 +633,9 @@ def _trace_record(config: Configuration, stats: RoundStats, legal: bool,
 def run(scenario: Scenario, trace_path=None) -> RunResult:
     """Execute one scenario until legality or the round budget runs out.
 
-    trace_path may be a filesystem path or an already-open text stream;
-    a stream is written to but not closed, so callers can interleave
-    several runs into one trace file.
+    trace_path, when given, is an open text stream that receives one JSON
+    line per round; it is not closed, so callers can interleave several
+    runs into one trace file.
     """
     if scenario.corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {scenario.corruption!r}")
@@ -683,47 +671,37 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
     last_advice: Optional[int] = None
     advice_seen = 0
 
-    if trace_path is None:
-        tracer, own_tracer = None, False
-    elif hasattr(trace_path, "write"):
-        tracer, own_tracer = trace_path, False
-    else:
-        tracer, own_tracer = open(trace_path, "w", encoding="utf-8"), True
-    try:
-        r = 0
-        while not legal and r < max_rounds:
-            stats = RoundStats()
-            step_round(config, stats)
-            r += 1
-            metrics.messages_per_round.append(stats.messages)
-            metrics.sybil_violations += stats.provenance_violations
-            connected = is_weakly_connected(config)
-            if not connected:
-                metrics.connectivity_violations += 1
-            metrics.max_degree_seen = max(metrics.max_degree_seen,
-                                          _degree_high_water(config))
-            record_pair()
-            sup = config.supervisor
-            if sup is not None and len(sup.advice_rounds) > advice_seen:
-                advice_seen = len(sup.advice_rounds)
-                last_advice = r
-                ever_dual = set()
-                rejected_since = set()
-            ever_dual.update(u for u, st in config.nodes.items() if st.dual)
-            rejected_since.update(stats.rejected)
-            if (last_advice is not None and metrics.rounds_to_all_reject is None
-                    and ever_dual and ever_dual <= rejected_since
-                    and not any(st.dual for st in config.nodes.values())):
-                metrics.rounds_to_all_reject = r - last_advice
-            legal = is_legal(config)
-            if legal:
-                metrics.rounds_to_legal = r
-            if tracer is not None:
-                tracer.write(json.dumps(_trace_record(config, stats, legal,
+    r = 0
+    while not legal and r < max_rounds:
+        stats = RoundStats()
+        step_round(config, stats)
+        r += 1
+        metrics.messages_per_round.append(stats.messages)
+        metrics.sybil_violations += stats.provenance_violations
+        connected = is_weakly_connected(config)
+        if not connected:
+            metrics.connectivity_violations += 1
+        metrics.max_degree_seen = max(metrics.max_degree_seen,
+                                      _degree_high_water(config))
+        record_pair()
+        sup = config.supervisor
+        if sup is not None and len(sup.advice_rounds) > advice_seen:
+            advice_seen = len(sup.advice_rounds)
+            last_advice = r
+            ever_dual = set()
+            rejected_since = set()
+        ever_dual.update(u for u, st in config.nodes.items() if st.dual)
+        rejected_since.update(stats.rejected)
+        if (last_advice is not None and metrics.rounds_to_all_reject is None
+                and ever_dual and ever_dual <= rejected_since
+                and not any(st.dual for st in config.nodes.values())):
+            metrics.rounds_to_all_reject = r - last_advice
+        legal = is_legal(config)
+        if legal:
+            metrics.rounds_to_legal = r
+        if trace_path is not None:
+            trace_path.write(json.dumps(_trace_record(config, stats, legal,
                                                       connected)) + "\n")
-    finally:
-        if own_tracer:
-            tracer.close()
 
     sup = config.supervisor
     return RunResult(

@@ -40,6 +40,7 @@ from .core import (
     TestVID,
     Verified,
     message_key,
+    vouched_ids,
 )
 
 Send = tuple[NodeId, Message]
@@ -60,25 +61,13 @@ def next_stop(st: NodeState, val: int) -> Optional[NodeId]:
     """
     if val < 1 or val == st.vid or st.vid < 1:
         return None
-    if not st.L and not st.R:
-        return None
-    if val > st.vid:
-        if not st.R:
-            return None
-        best, gap = 0, None
-        for i in range(1, len(st.R) + 1):
-            d = abs(st.vid + 2 ** (i - 1) - val)
-            if gap is None or d < gap:
-                best, gap = i, d
-        return st.R[best - 1]
-    if not st.L:
-        return None
-    best, gap = 0, None
-    for i in range(1, len(st.L) + 1):
-        d = abs(st.vid - 2 ** (i - 1) - val)
+    side, sign = (st.R, 1) if val > st.vid else (st.L, -1)
+    best, gap = None, None
+    for i, v in enumerate(side):
+        d = abs(st.vid + sign * 2 ** i - val)
         if gap is None or d < gap:
-            best, gap = i, d
-    return st.L[best - 1]
+            best, gap = v, d
+    return best
 
 
 def well_formed_advice(adv: Advice, snap: set[NodeId]) -> bool:
@@ -139,53 +128,37 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
     out.did_reject = True
 
 
+def _refuse(st: NodeState, ids: tuple, out: RoundOutput) -> None:
+    # tell every named peer its flyover traffic is refused, keep the ids
+    for v in sorted(set(ids) - {st.id}):
+        out.sends.append((v, RejFlyover()))
+    st.base_mem = flush(st.base_mem, ids, st.id)
+
+
 def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    for m in by_type.get(TestLineR, ()):
-        sen = m.sender
-        if (st.L and st.s_l(1) != sen) or not st.L:
-            st.exit = 1
-        if not st.S or st.exit == 1:
-            if sen != st.id:
-                out.sends.append((sen, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (sen,), st.id)
-    for m in by_type.get(TestLineL, ()):
-        sen = m.sender
-        if (st.R and st.s_r(1) != sen) or not st.R:
-            st.exit = 1
-        if not st.S or st.exit == 1:
-            if sen != st.id:
-                out.sends.append((sen, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (sen,), st.id)
-    for m in by_type.get(FlyConstR, ()):
-        w, i, sen = m.w, m.level, m.sender
-        if (len(st.L) >= i and st.s_l(i) != sen) or not st.L:
-            st.exit = 1
-        if len(st.L) >= i + 1 and st.s_l(i + 1) != w:
-            st.exit = 1
-        if st.exit == 0 and 1 < len(st.L) < i:
-            st.base_mem = flush(st.base_mem, (sen, w), st.id)
-        if st.exit == 0 and len(st.L) == i and st.s_l(i) == sen:
-            if w != st.id:
-                st.L.append(w)
-        if not st.S or st.exit == 1:
-            for v in sorted({sen, w} - {st.id}):
-                out.sends.append((v, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (sen, w), st.id)
-    for m in by_type.get(FlyConstL, ()):
-        w, i, sen = m.w, m.level, m.sender
-        if (len(st.R) >= i and st.s_r(i) != sen) or not st.R:
-            st.exit = 1
-        if len(st.R) >= i + 1 and st.s_r(i + 1) != w:
-            st.exit = 1
-        if st.exit == 0 and 1 < len(st.R) < i:
-            st.base_mem = flush(st.base_mem, (sen, w), st.id)
-        if st.exit == 0 and len(st.R) == i and st.s_r(i) == sen:
-            if w != st.id:
-                st.R.append(w)
-        if not st.S or st.exit == 1:
-            for v in sorted({sen, w} - {st.id}):
-                out.sends.append((v, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (sen, w), st.id)
+    # R-kind traffic comes from the left and is checked against the left
+    # side; L-kind traffic mirrors it
+    for kind, near in ((TestLineR, st.L), (TestLineL, st.R)):
+        for m in by_type.get(kind, ()):
+            sen = m.sender
+            if not near or near[0] != sen:
+                st.exit = 1
+            if not st.S or st.exit == 1:
+                _refuse(st, (sen,), out)
+    for kind, near, level in ((FlyConstR, st.L, st.s_l), (FlyConstL, st.R, st.s_r)):
+        for m in by_type.get(kind, ()):
+            w, i, sen = m.w, m.level, m.sender
+            if (len(near) >= i and level(i) != sen) or not near:
+                st.exit = 1
+            if len(near) >= i + 1 and level(i + 1) != w:
+                st.exit = 1
+            if st.exit == 0 and 1 < len(near) < i:
+                st.base_mem = flush(st.base_mem, (sen, w), st.id)
+            if st.exit == 0 and len(near) == i and level(i) == sen:
+                if w != st.id:
+                    near.append(w)
+            if not st.S or st.exit == 1:
+                _refuse(st, (sen, w), out)
 
 
 def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> None:
@@ -197,9 +170,7 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
         if st.vid != tvid and next_stop(st, tvid) is None:
             st.exit = 1
         if not st.S or st.exit == 1:
-            if w != st.id:
-                out.sends.append((w, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (w,), st.id)
+            _refuse(st, (w,), out)
         elif st.vid != tvid:
             if not prop:
                 st.base_mem = flush(st.base_mem, (w,), st.id)
@@ -225,20 +196,17 @@ def _r_test_flyover_metadata(st: NodeState, by_type: dict, out: RoundOutput) -> 
         if (st.S and st.flyid != f) or (not st.S and f is not None):
             st.exit = 1
         if st.exit == 1 and f is not None:
-            if f != st.id:
-                out.sends.append((f, RejFlyover()))
-            st.base_mem = flush(st.base_mem, (f,), st.id)
+            _refuse(st, (f,), out)
 
 
 def _test_flyover_construction(st: NodeState, out: RoundOutput) -> None:
-    if st.R:
-        out.sends.append((st.s_r(1), TestLineR(st.id)))
-    if st.L:
-        out.sends.append((st.s_l(1), TestLineL(st.id)))
-    if st.R and st.L:
-        for i in range(1, min(len(st.R), len(st.L)) + 1):
-            out.sends.append((st.s_r(i), FlyConstR(st.s_l(i), i, st.id)))
-            out.sends.append((st.s_l(i), FlyConstL(st.s_r(i), i, st.id)))
+    sides = ((st.R, st.L, TestLineR, FlyConstR), (st.L, st.R, TestLineL, FlyConstL))
+    for far, _near, line, _const in sides:
+        if far:
+            out.sends.append((far[0], line(st.id)))
+    for i in range(1, min(len(st.R), len(st.L)) + 1):
+        for far, near, _line, const in sides:
+            out.sends.append((far[i - 1], const(near[i - 1], i, st.id)))
 
 
 def _test_conn_certificate(st: NodeState, out: RoundOutput) -> None:
@@ -254,10 +222,9 @@ def _test_flyover_metadata(st: NodeState, out: RoundOutput,
     # the leftmost member (vid 1) must hold shortcuts, any other member must
     # already have adopted a foreign flyid
     prop = (st.vid == 1 and bool(st.S)) or (st.vid > 1 and st.flyid != st.id)
-    for i in range(1, len(st.R) + 1):
-        out.sends.append((st.R[i - 1], TestVID(st.vid + 2 ** (i - 1))))
-    for i in range(1, len(st.L) + 1):
-        out.sends.append((st.L[i - 1], TestVID(st.vid - 2 ** (i - 1))))
+    for side, sign in ((st.R, 1), (st.L, -1)):
+        for i, v in enumerate(side):
+            out.sends.append((v, TestVID(st.vid + sign * 2 ** i)))
     if not st.S and st.vid == 0:
         for v in sorted((st.address_ids() | channel_ids) - {st.id}):
             out.sends.append((v, TestFlyID(None)))
@@ -370,23 +337,14 @@ def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
     Odd depth points right (to parent or right sibling, possibly through the
     largest child); even depth mirrors to the left with the smallest child.
     """
-    send = out.sends.append
     if st.dist % 2 == 1:
-        target = parent if r_sib is None else r_sib
-        if not children:
-            send((target, PathPlus(st.id)))
-            send((st.id, PathMinus(target)))
-        else:
-            send((target, PathPlus(children[-1])))
-            send((children[-1], PathMinus(target)))
+        toward, back, sib, end = PathPlus, PathMinus, r_sib, -1
     else:
-        target = parent if l_sib is None else l_sib
-        if not children:
-            send((target, PathMinus(st.id)))
-            send((st.id, PathPlus(target)))
-        else:
-            send((target, PathMinus(children[0])))
-            send((children[0], PathPlus(target)))
+        toward, back, sib, end = PathMinus, PathPlus, l_sib, 0
+    target = parent if sib is None else sib
+    via = children[end] if children else st.id
+    out.sends.append((target, toward(via)))
+    out.sends.append((via, back(target)))
 
 
 def _join_path(st: NodeState, by_type: dict) -> None:
@@ -426,12 +384,7 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
     by_type: dict[type, list] = {}
     for m in msgs:
         by_type.setdefault(type(m), []).append(m)
-    # ids learned from node-originated traffic this round; supervisor
-    # messages grant no addressing rights
-    channel_ids = set()
-    for m in msgs:
-        if not isinstance(m, (Advice, RequestSnapshot)):
-            channel_ids.update(m.ids())
+    channel_ids = vouched_ids(msgs)
     channel_ids.discard(st.id)
 
     out = RoundOutput()

@@ -13,21 +13,26 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Advice, Message, Neighborhood, NodeId, RequestSnapshot
+from .core import (
+    Advice,
+    Message,
+    Neighborhood,
+    NodeId,
+    RequestSnapshot,
+    bfs_distances,
+    is_weakly_connected,
+)
 from .ttp import label_tree, tree_to_path
 
 STRATEGIES = ("split", "sybil", "wrong_vids", "cycle", "partial", "stale")
-
-PHASES = ("idle", "waiting", "collecting", "advising")
 
 
 @dataclass
 class SupervisorState:
     membership: set[NodeId]
-    mode: str = "honest"  # honest | absent | malicious
+    mode: str = "honest"  # honest | malicious
     strategy: Optional[str] = None
-    phase: str = "idle"
-    wait_counter: int = 0
+    phase: str = "idle"  # idle | waiting | collecting
     collected: dict[NodeId, frozenset] = field(default_factory=dict)
     advice_rounds: list[int] = field(default_factory=list)
     round_no: int = 0
@@ -37,27 +42,12 @@ def make_supervisor(membership, mode: str = "honest",
                     strategy: Optional[str] = None) -> SupervisorState:
     if strategy is not None and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if mode not in ("honest", "absent", "malicious"):
+    if mode not in ("honest", "malicious"):
         raise ValueError(f"unknown supervisor mode {mode!r}")
     if mode == "malicious" and strategy is None:
         raise ValueError("malicious mode needs a strategy")
     return SupervisorState(membership=set(membership), mode=mode,
                            strategy=strategy)
-
-
-def _connected(adj: dict[NodeId, set[NodeId]]) -> bool:
-    if len(adj) <= 1:
-        return True
-    start = min(adj)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(adj)
 
 
 def snapshot_graph(collected: dict[NodeId, frozenset],
@@ -120,24 +110,12 @@ def _strategy_split(snapshot, membership) -> dict[NodeId, Advice]:
         if len(half) < 2:
             continue
         sub = {u: snapshot[u] & set(half) for u in half}
-        comp = _component(sub, half[0])
+        comp = set(bfs_distances(sub, half[0]))
         if len(comp) < 2:
             continue
         part = {u: snapshot[u] & comp for u in sorted(comp)}
         out.update(compute_advice(part, min(comp)))
     return out
-
-
-def _component(adj: dict[NodeId, set[NodeId]], start: NodeId) -> set[NodeId]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
 
 
 def _strategy_sybil(snapshot, membership) -> dict[NodeId, Advice]:
@@ -177,11 +155,6 @@ def _strategy_partial(snapshot, membership) -> dict[NodeId, Advice]:
     return out
 
 
-def restrict_advice(advice: dict[NodeId, Advice],
-                    subset: set[NodeId]) -> dict[NodeId, Advice]:
-    return {u: a for u, a in advice.items() if u in subset}
-
-
 def _strategy_stale(snapshot, membership) -> dict[NodeId, Advice]:
     """Advise on a perturbed snapshot: one edge dropped, or added if the
     drop would disconnect the graph."""
@@ -192,7 +165,7 @@ def _strategy_stale(snapshot, membership) -> dict[NodeId, Advice]:
         a, b = edges[-1]
         adj[a].discard(b)
         adj[b].discard(a)
-        if not _connected(adj):
+        if not is_weakly_connected(adj):
             adj[a].add(b)
             adj[b].add(a)
             ids = sorted(adj)
@@ -215,7 +188,7 @@ _STRATEGY_FNS = {
 }
 
 
-def malicious_step(strategy: str, round_no: int, membership: set[NodeId],
+def malicious_step(strategy: str, membership: set[NodeId],
                    snapshot: Optional[dict[NodeId, set[NodeId]]] = None,
                    ) -> dict[NodeId, Advice]:
     """Advice payloads for one adversarial strategy at the advising moment."""
@@ -236,21 +209,16 @@ def honest_step(state: SupervisorState,
     Supervisor-to-node messages returned here reach the nodes this round.
     """
     out: list[tuple[NodeId, Message]] = []
-    if state.mode == "absent":
-        state.round_no += 1
-        return state, out
     if state.phase == "collecting":
         for sender, msg in inbound:
             if isinstance(msg, Neighborhood) and sender in state.membership:
                 state.collected[sender] = frozenset(msg.members)
         snap = snapshot_graph(state.collected, state.membership)
-        if set(state.collected) == state.membership and _connected(snap):
-            state.phase = "advising"
+        if set(state.collected) == state.membership and is_weakly_connected(snap):
             if state.mode == "honest":
                 advice = compute_advice(snap, _advice_root(snap))
             else:
-                advice = malicious_step(state.strategy, state.round_no,
-                                        state.membership, snap)
+                advice = malicious_step(state.strategy, state.membership, snap)
             for u in sorted(advice):
                 out.append((u, advice[u]))
             state.advice_rounds.append(state.round_no)
@@ -261,7 +229,6 @@ def honest_step(state: SupervisorState,
     if state.phase == "idle" and len(state.membership) >= 2 and attentive:
         state.phase = "waiting"
     if state.phase == "waiting":
-        state.wait_counter += 1
         if attentive >= state.membership:
             for u in sorted(state.membership):
                 out.append((u, RequestSnapshot()))

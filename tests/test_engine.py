@@ -28,7 +28,6 @@ from linfly.engine import (
     seed_backbone,
     seed_flyover,
     step_round,
-    track_provenance,
 )
 from linfly.protocol import TestFlyID
 from linfly.supervisor import make_supervisor
@@ -341,7 +340,6 @@ def test_run_star_honest_smoke():
     assert m.connectivity_violations == 0 and m.sybil_violations == 0
     assert m.max_degree_seen == 7
     assert is_legal(res.config)
-    assert track_provenance(res) == 0
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     first, last = json.loads(lines[0]), json.loads(lines[-1])
@@ -371,7 +369,8 @@ def test_run_far_pair_floor_holds():
 
 def test_run_trace_file(tmp_path):
     path = tmp_path / "trace.jsonl"
-    run(Scenario(n=8, topology="star", supervisor="honest", seed=1), trace_path=str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        run(Scenario(n=8, topology="star", supervisor="honest", seed=1), trace_path=fh)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     json.loads(lines[0])

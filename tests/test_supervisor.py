@@ -10,7 +10,6 @@ from linfly.supervisor import (
     honest_step,
     make_supervisor,
     malicious_step,
-    restrict_advice,
     snapshot_graph,
 )
 
@@ -104,7 +103,6 @@ def test_waiting_until_all_attentive():
         sup, out = honest_step(sup, [], {1})
         assert out == []
     assert sup.phase == "waiting"
-    assert sup.wait_counter == 4
 
 
 def test_disconnected_reports_retry():
@@ -115,13 +113,6 @@ def test_disconnected_reports_retry():
     assert sup.advice_rounds == []
     # falls back to waiting and immediately re-requests
     assert any(isinstance(m, RequestSnapshot) for _, m in out)
-
-
-def test_absent_mode_is_silent():
-    sup = make_supervisor({1, 2}, "absent")
-    for _ in range(3):
-        sup, out = honest_step(sup, [], {1, 2})
-        assert out == []
 
 
 def test_singleton_membership_never_advises():
@@ -138,7 +129,7 @@ FULL4 = {u: {v for v in range(4) if v != u} for u in range(4)}
 
 
 def test_split_advises_two_disjoint_paths():
-    adv = malicious_step("split", 0, set(range(4)), FULL4)
+    adv = malicious_step("split", set(range(4)), FULL4)
     assert set(adv) == {0, 1, 2, 3}
     left = {u: adv[u] for u in (0, 1)}
     right = {u: adv[u] for u in (2, 3)}
@@ -148,12 +139,12 @@ def test_split_advises_two_disjoint_paths():
 
 
 def test_sybil_names_a_phantom():
-    adv = malicious_step("sybil", 0, {1, 2}, {1: {2}, 2: {1}})
+    adv = malicious_step("sybil", {1, 2}, {1: {2}, 2: {1}})
     assert all(a.par not in {1, 2} for a in adv.values())
 
 
 def test_wrong_vids_breaks_the_bijection():
-    adv = malicious_step("wrong_vids", 0, set(PATH3), PATH3)
+    adv = malicious_step("wrong_vids", set(PATH3), PATH3)
     vids = sorted(a.vid for a in adv.values())
     assert vids != [1, 2, 3]
 
@@ -163,7 +154,7 @@ def test_cycle_strategy_loops_parents():
     for u in range(4):
         snap[u].add(u + 1)
         snap[u + 1].add(u)
-    adv = malicious_step("cycle", 0, set(range(5)), snap)
+    adv = malicious_step("cycle", set(range(5)), snap)
     by_vid = {a.vid: u for u, a in adv.items()}
     # following certificate parents from the largest ids loops instead of
     # descending to the root
@@ -179,13 +170,8 @@ def test_cycle_strategy_loops_parents():
 
 
 def test_partial_skips_a_node():
-    adv = malicious_step("partial", 0, set(PATH3), PATH3)
+    adv = malicious_step("partial", set(PATH3), PATH3)
     assert set(adv) == {1, 2}
-
-
-def test_restrict_advice_empty_subset():
-    adv = compute_advice(PATH3, 1)
-    assert restrict_advice(adv, set()) == {}
 
 
 def test_stale_uses_a_perturbed_snapshot():
@@ -193,14 +179,14 @@ def test_stale_uses_a_perturbed_snapshot():
     for u in range(3):
         snap[u].add(u + 1)
         snap[u + 1].add(u)
-    adv = malicious_step("stale", 0, set(range(4)), snap)
+    adv = malicious_step("stale", set(range(4)), snap)
     honest = compute_advice(snap, 0)
     assert adv != honest
 
 
 def test_unknown_strategy_raises():
     with pytest.raises(ValueError):
-        malicious_step("nope", 0, {1, 2}, None)
+        malicious_step("nope", {1, 2}, None)
 
 
 def test_all_strategies_emit_advice_objects():
@@ -209,5 +195,5 @@ def test_all_strategies_emit_advice_objects():
         snap[u].add(u + 1)
         snap[u + 1].add(u)
     for strat in STRATEGIES:
-        adv = malicious_step(strat, 3, set(range(6)), snap)
+        adv = malicious_step(strat, set(range(6)), snap)
         assert all(isinstance(a, Advice) for a in adv.values())
