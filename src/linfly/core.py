@@ -449,8 +449,6 @@ def is_weakly_connected(graph) -> bool:
     """
     if isinstance(graph, Configuration):
         adj = communication_graph(graph)
-    elif all(u in graph.get(v, ()) for u, succs in graph.items() for v in succs):
-        adj = graph  # already undirected; no copy, supervisor snapshots can be dense
     else:
         adj = {u: set() for u in graph}
         for u, succs in graph.items():

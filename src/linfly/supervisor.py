@@ -20,7 +20,6 @@ from .core import (
     NodeId,
     RequestSnapshot,
     bfs_distances,
-    is_weakly_connected,
 )
 from .ttp import label_tree, tree_to_path
 
@@ -165,7 +164,7 @@ def _strategy_stale(snapshot, membership) -> dict[NodeId, Advice]:
         a, b = edges[-1]
         adj[a].discard(b)
         adj[b].discard(a)
-        if not is_weakly_connected(adj):
+        if len(bfs_distances(adj, a)) < len(adj):
             adj[a].add(b)
             adj[b].add(a)
             ids = sorted(adj)
@@ -214,7 +213,8 @@ def honest_step(state: SupervisorState,
             if isinstance(msg, Neighborhood) and sender in state.membership:
                 state.collected[sender] = frozenset(msg.members)
         snap = snapshot_graph(state.collected, state.membership)
-        if set(state.collected) == state.membership and is_weakly_connected(snap):
+        if (set(state.collected) == state.membership
+                and len(bfs_distances(snap, min(snap))) == len(snap)):
             if state.mode == "honest":
                 advice = compute_advice(snap, _advice_root(snap))
             else:

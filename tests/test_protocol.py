@@ -16,6 +16,7 @@ from linfly.core import (
     TestAdvice,
     TestCert,
     TestFlyID,
+    TestLineL,
     TestLineR,
     TestVID,
     Verified,
@@ -169,6 +170,34 @@ def test_line_tests_go_to_level_one():
     assert (3, "TestLineL") in dests
     assert (5, "FlyConstR") in dests
     assert (3, "FlyConstL") in dests
+
+
+def test_probe_emission_order_is_pinned():
+    # dumps() shows only per-channel order, so the golden digests cannot
+    # see the order of sends to different peers; pin it here: line tests
+    # R then L, FlyConst R then L per level, certificate, TestVID R side
+    # before L side, then the flyid broadcast
+    st = NodeState(id=50, vid=5, R=[60, 70], L=[40, 30], c_par=1, c_dist=4)
+    st.flyid = 10
+    new, out = run_node(st)
+    assert new.exit == 0
+    assert out.sends == [
+        (60, TestLineR(50)),
+        (40, TestLineL(50)),
+        (60, FlyConstR(w=40, level=1, sender=50)),
+        (40, FlyConstL(w=60, level=1, sender=50)),
+        (70, FlyConstR(w=30, level=2, sender=50)),
+        (30, FlyConstL(w=70, level=2, sender=50)),
+        (30, TestCert(50, 1, 4)),
+        (60, TestVID(6)),
+        (70, TestVID(7)),
+        (40, TestVID(4)),
+        (30, TestVID(3)),
+        (30, TestFlyID(10)),
+        (40, TestFlyID(10)),
+        (60, TestFlyID(10)),
+        (70, TestFlyID(10)),
+    ]
 
 
 def test_attentive_node_rejects_line_test():
