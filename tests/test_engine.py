@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_step_round_is_deterministic():
         step_round(a)
         step_round(b)
     assert a.dumps() == b.dumps()
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_stepping_a_clone_leaves_the_original_alone(corruption):
+    # node rounds update sets such as base memory in place; a clone must
+    # share none of them with its original
+    adj, _ = make_topology("random_connected", 16, random.Random(5))
+    cfg = inject_faults(initial_configuration(adj), corruption, 5)
+    cfg.supervisor = make_supervisor(set(cfg.ids()), "honest")
+    before = cfg.dumps()
+    copy = cfg.clone()
+    for _ in range(8):
+        step_round(copy)
+    assert copy.dumps() != before
+    assert cfg.dumps() == before
 
 
 def test_step_keeps_weak_connectivity():

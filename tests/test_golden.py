@@ -1,11 +1,14 @@
 """Golden behaviour digests: a refactor must leave every round unchanged.
 
 The determinism tests compare two runs of the same code; these pin what
-the code does. Each supervisor mode gets two SHA-256 digests over the
+the code does. Each supervisor mode gets three SHA-256 digests over the
 grid of 4 corruptions x {random_connected, far_pair} x n in {8, 32}:
 
 - rounds: `Configuration.dumps()` after every round, with the round's
   message count, rejected nodes and provenance violations;
+- run: what `engine.run` derives from its per-round monitors: pair
+  distances, advice rounds, messages per round, degree high-water,
+  rounds to legality and to all-reject, connectivity and sybil counts;
 - cli: the CSV and the `--trace` JSONL bytes that `linfly` writes for
   each scenario of the grid, plus its exit status.
 
@@ -33,10 +36,12 @@ from linfly.engine import (
     CORRUPTIONS,
     SUPERVISOR_MODES,
     RoundStats,
+    Scenario,
     default_max_rounds,
     inject_faults,
     is_legal,
     make_topology,
+    run,
     step_round,
 )
 from linfly.supervisor import STRATEGIES, make_supervisor
@@ -65,6 +70,18 @@ CLI_DIGESTS = {
     "cycle": "b4a46840c633500eaf342332147494a25a06b3dc6295d64bce93a318c04e4f76",
     "partial": "15e3b82fecc6162ba427879a17e60a80526761fad85f6572eb14e91de94fb307",
     "stale": "d2690beda9dca25b7020da7f425d7935535f0b28cf54357f8295e614fe079c2e",
+}
+
+
+RUN_DIGESTS = {
+    "honest": "06164154bfa9dcc1ab482508e5b7f711634017d9e53be553b18d50e03366baa5",
+    "none": "36ecfad563895ca77daa84ec0e19a9eda58a346f011cee73ca1bf37249029c84",
+    "split": "116ac778b0feac7f5822a72bbea7b1d02c625483a185e9dd070977030327efd6",
+    "sybil": "ada38a3061244693866eefeb0af6f4cac75c0a88bd6f3ec434a0009984ffaa54",
+    "wrong_vids": "21c9643c1af0e6870fbfa20edd5bae1953d92d871bc0ff5f2c3cd5ff751a518e",
+    "cycle": "ab4bf1046bb4a9b88fae413df96759d5afe3965713cc375335562fa449ba0c46",
+    "partial": "a92816985e857efa84f0430c28687a42ed0545b83d98042d28384b22580050f0",
+    "stale": "b835776a413b69417bd4021c6d3eab5f7cc5f1c772b7c02e755725b1ebe27f6d",
 }
 
 
@@ -97,6 +114,20 @@ def round_digest(mode: str) -> str:
     return h.hexdigest()
 
 
+def run_digest(mode: str) -> str:
+    h = hashlib.sha256()
+    for corruption, topology, n in _grid():
+        res = run(Scenario(n=n, topology=topology, supervisor=mode,
+                           corruption=corruption, seed=SEED))
+        m = res.metrics
+        h.update(repr((res.rounds, res.pair_distances, res.advice_rounds,
+                       m.messages_per_round, m.max_degree_seen,
+                       m.rounds_to_legal, m.rounds_to_all_reject,
+                       m.connectivity_violations,
+                       m.sybil_violations)).encode())
+    return h.hexdigest()
+
+
 def cli_digest(mode: str) -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,12 +151,18 @@ def test_round_digest(mode):
 
 
 @pytest.mark.parametrize("mode", SUPERVISOR_MODES)
+def test_run_digest(mode):
+    assert run_digest(mode) == RUN_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", SUPERVISOR_MODES)
 def test_cli_digest(mode):
     assert cli_digest(mode) == CLI_DIGESTS[mode]
 
 
 if __name__ == "__main__":
     for name, fn in (("ROUND_DIGESTS", round_digest),
+                     ("RUN_DIGESTS", run_digest),
                      ("CLI_DIGESTS", cli_digest)):
         print(f"{name} = {{")
         for mode in SUPERVISOR_MODES:

@@ -6,7 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from linfly.baseline import base_step, flush
-from linfly.core import NodeState, initial_configuration, is_weakly_connected
+from linfly.core import (
+    VERIFIED_KINDS,
+    Advice,
+    Base,
+    FlyConstL,
+    FlyConstR,
+    Intro,
+    IntroCert,
+    Neighborhood,
+    NodeState,
+    PathMinus,
+    PathPlus,
+    RejFlyover,
+    RequestSnapshot,
+    Rev,
+    TestAdvice,
+    TestCert,
+    TestFlyID,
+    TestLineL,
+    TestLineR,
+    TestVID,
+    Verified,
+    initial_configuration,
+    is_weakly_connected,
+    vouched_ids,
+)
 from linfly.engine import (
     CORRUPTIONS,
     classify_structures,
@@ -87,6 +112,95 @@ def test_node_round_only_uses_known_ids(data):
         assert dest in known and dest != node.id
         for v in msg.ids():
             assert v is None or v in known
+    for msg in out.to_supervisor:
+        assert set(msg.ids()) <= known
+    for reg in (after.L, after.R, after.c_ids, after.base_mem):
+        assert after.id not in reg
+
+
+# ids 0..7 are node ids in the other tests; 8..11 name nodes that do not
+# exist, and the drawn node id is often carried by its own messages
+wire_ids = hs.integers(min_value=0, max_value=11)
+small_ints = hs.integers(min_value=-1, max_value=9)
+id_tuples = hs.lists(wire_ids, max_size=3).map(tuple)
+
+# one strategy per message kind, all 19 of them
+messages = hs.one_of(
+    hs.just(RejFlyover()),
+    hs.builds(TestLineR, wire_ids),
+    hs.builds(TestLineL, wire_ids),
+    hs.builds(FlyConstR, wire_ids, hs.integers(min_value=0, max_value=4), wire_ids),
+    hs.builds(FlyConstL, wire_ids, hs.integers(min_value=0, max_value=4), wire_ids),
+    hs.builds(TestVID, small_ints),
+    hs.builds(TestFlyID, wire_ids | hs.none()),
+    hs.builds(TestCert, wire_ids, small_ints, small_ints),
+    hs.builds(IntroCert, wire_ids),
+    hs.just(RequestSnapshot()),
+    hs.builds(Intro, wire_ids),
+    hs.builds(Neighborhood, id_tuples),
+    hs.builds(Advice, small_ints, small_ints, small_ints,
+              wire_ids | hs.none(), small_ints),
+    hs.builds(TestAdvice, small_ints, wire_ids),
+    hs.builds(Verified, hs.sampled_from(VERIFIED_KINDS), wire_ids),
+    hs.builds(PathPlus, wire_ids),
+    hs.builds(PathMinus, wire_ids),
+    hs.builds(Rev, wire_ids, id_tuples),
+    hs.builds(Base, id_tuples),
+)
+
+
+def _draw_node(data) -> NodeState:
+    node_id = data.draw(ids_strategy)
+    if data.draw(hs.booleans()):
+        # an idle node in the advice window, so the pipeline runs too
+        return NodeState(id=node_id, t=data.draw(hs.integers(min_value=0, max_value=6)),
+                         dist=data.draw(hs.integers(min_value=0, max_value=3)),
+                         base_mem=data.draw(id_sets))
+    return NodeState(
+        id=node_id,
+        L=data.draw(id_lists),
+        R=data.draw(id_lists),
+        vid=data.draw(hs.integers(min_value=0, max_value=9)),
+        flyid=data.draw(ids_strategy | hs.none()),
+        c_par=data.draw(hs.integers(min_value=0, max_value=9)),
+        c_dist=data.draw(hs.integers(min_value=-1, max_value=9)),
+        c_ids=data.draw(id_sets),
+        t=data.draw(hs.integers(min_value=-1, max_value=6)),
+        dist=data.draw(hs.integers(min_value=0, max_value=9)),
+        base_mem=data.draw(id_sets),
+        exit=data.draw(hs.integers(min_value=0, max_value=1)),
+    )
+
+
+def _round_outcome(node: NodeState, delivered: list):
+    after, out = node_round(node.clone(), list(delivered))
+    return (after.to_record(), out.sends, out.to_supervisor, out.did_reject)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_node_round_ignores_delivery_order(data):
+    node = _draw_node(data)
+    bag = data.draw(hs.lists(messages, max_size=10))
+    if bag:
+        bag += data.draw(hs.lists(hs.sampled_from(bag), max_size=3))
+    shuffled = data.draw(hs.permutations(bag))
+    want = _round_outcome(node, bag)
+    assert _round_outcome(node, shuffled) == want
+    assert _round_outcome(node, bag[::-1]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_node_round_only_uses_delivered_or_known_ids(data):
+    node = _draw_node(data)
+    delivered = data.draw(hs.lists(messages, max_size=10))
+    known = {node.id} | node.address_ids() | vouched_ids(delivered)
+    after, out = node_round(node.clone(), list(delivered))
+    assert after.address_ids() <= known
+    for dest, msg in out.sends:
+        assert dest in known
+        assert set(msg.ids()) <= known
     for msg in out.to_supervisor:
         assert set(msg.ids()) <= known
     for reg in (after.L, after.R, after.c_ids, after.base_mem):
