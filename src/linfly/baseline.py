@@ -5,6 +5,10 @@ A node keeps only its closest known neighbour on each side and delegates
 every other known id one hop toward its sorted position. Delegation is
 indirect: the sender asks the delegated node to introduce itself to the
 target, so the sender never fabricates an edge on the target's behalf.
+
+`flush` updates the base memory it is given in place and returns that
+same set; a configuration clone copies every node's sets, so stepping a
+clone never changes its original.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ Send = tuple[NodeId, Message]
 
 
 def flush(mem: set[NodeId], ids: Iterable[NodeId | None], self_id: NodeId) -> set[NodeId]:
-    """Fold ids into base memory, dropping empty slots and the own id."""
-    out = set(mem)
+    """Fold ids into base memory, dropping empty slots and the own id.
+
+    Mutates mem and returns it.
+    """
     for v in ids:
         if v is not None and v != self_id:
-            out.add(v)
-    return out
+            mem.add(v)
+    return mem
 
 
 def dr_delegate(self_id: NodeId, w: NodeId, v: NodeId) -> Send:

@@ -19,7 +19,8 @@ NodeId = int
 # --- wire messages ---------------------------------------------------------
 # Frozen dataclasses; ids() lists every node id carried by the payload
 # (used for implicit edges and the id-provenance audit), key() gives the
-# canonical processing order within a round.
+# canonical processing order within a round: class rank first, so
+# protocol.SORT_KEYS, which orders within one class, is key() without it.
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,10 +253,6 @@ Message = (
 )
 
 
-def message_key(msg: Message):
-    return msg.key()
-
-
 def message_to_obj(msg: Message) -> list:
     return [type(msg).__name__] + [getattr(msg, f) for f in msg.__dataclass_fields__]
 
@@ -396,27 +393,30 @@ def initial_configuration(adjacency: dict[NodeId, set[NodeId]]) -> Configuration
 # --- communication graph ---------------------------------------------------
 
 
+def explicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
+    """Each node's explicit out-neighbours: the other nodes whose ids it
+    stores in an address variable."""
+    nodes = config.nodes
+    return {u: {v for v in st.address_ids() if v != u and v in nodes}
+            for u, st in nodes.items()}
+
+
+def implicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
+    """Each node's implicit out-neighbours: the other nodes whose ids are
+    carried by a message in its channel."""
+    nodes = config.nodes
+    return {u: {v for msg in st.channel for v in msg.ids() if v != u and v in nodes}
+            for u, st in nodes.items()}
+
+
 def explicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
     """Directed edges (u, v) with v stored in an address variable of u."""
-    out = set()
-    nodes = config.nodes
-    for u, st in nodes.items():
-        for v in st.address_ids():
-            if v != u and v in nodes:
-                out.add((u, v))
-    return out
+    return {(u, v) for u, vs in explicit_out(config).items() for v in vs}
 
 
 def implicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
     """Directed edges (u, v) with v carried by a message in u's channel."""
-    out = set()
-    nodes = config.nodes
-    for u, st in nodes.items():
-        for msg in st.channel:
-            for v in msg.ids():
-                if v != u and v in nodes:
-                    out.add((u, v))
-    return out
+    return {(u, v) for u, vs in implicit_out(config).items() for v in vs}
 
 
 def extract_graph(config: Configuration) -> dict[tuple[NodeId, NodeId], str]:
@@ -432,13 +432,20 @@ def extract_graph(config: Configuration) -> dict[tuple[NodeId, NodeId], str]:
     return edges
 
 
+def undirected(*outs: dict[NodeId, set[NodeId]]) -> dict[NodeId, set[NodeId]]:
+    """Symmetric union of out-neighbour maps; the first names every node."""
+    adj: dict[NodeId, set[NodeId]] = {u: set() for u in outs[0]}
+    for out in outs:
+        for u, vs in out.items():
+            adj[u].update(vs)
+            for v in vs:
+                adj[v].add(u)
+    return adj
+
+
 def communication_graph(config: Configuration) -> dict[NodeId, set[NodeId]]:
     """Undirected adjacency of the explicit plus implicit edge union."""
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in config.nodes}
-    for u, v in explicit_edges(config) | implicit_edges(config):
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+    return undirected(explicit_out(config), implicit_out(config))
 
 
 def is_weakly_connected(graph) -> bool:
@@ -450,11 +457,9 @@ def is_weakly_connected(graph) -> bool:
     if isinstance(graph, Configuration):
         adj = communication_graph(graph)
     else:
-        adj = {u: set() for u in graph}
-        for u, succs in graph.items():
-            for v in succs:
-                adj[u].add(v)
-                adj.setdefault(v, set()).add(u)
+        nodes = {v: () for succs in graph.values() for v in succs}
+        nodes.update(graph)
+        adj = undirected(nodes)
     if len(adj) <= 1:
         return True
     return len(bfs_distances(adj, min(adj))) == len(adj)

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+# communication_graph, explicit_edges and is_weakly_connected are not
+# called here; benchmarks/tracer.py times them as engine attributes
 from .core import (
     Configuration,
     FlyConstR,
@@ -36,8 +38,11 @@ from .core import (
     bfs_distances,
     communication_graph,
     explicit_edges,
+    explicit_out,
+    implicit_out,
     initial_configuration,
     is_weakly_connected,
+    undirected,
     vouched_ids,
 )
 from .protocol import node_round as _protocol_node_round
@@ -307,30 +312,27 @@ def step_round(config: Configuration, stats: Optional[RoundStats] = None,
     for u in sorted(nodes):
         st = nodes[u]
         delivered = deliveries[u]
-        vouched = vouched_ids(delivered) | st.address_ids()
+        vouched = vouched_ids(delivered)
+        vouched |= st.address_ids()
         vouched.add(u)
         st, out = node_round(st, delivered)
         nodes[u] = st
         if out.did_reject:
             rejected.add(u)
-        bad = {v for v in st.address_ids() if v not in vouched}
+        dests: set = set()
+        carried: set = set()
         for dest, msg in out.sends:
-            if dest not in vouched:
-                bad.add(dest)
-            for v in msg.ids():
-                if v is not None and v not in vouched:
-                    bad.add(v)
+            dests.add(dest)
+            carried.update(msg.ids())
+            box = pending.get(dest)
+            if box is not None:
+                box.append(msg)
+        carried.discard(None)
         for msg in out.to_supervisor:
-            for v in msg.ids():
-                if v not in vouched:
-                    bad.add(v)
-        violations += len(bad)
-        n_messages += len(out.sends) + len(out.to_supervisor)
-        for dest, msg in out.sends:
-            if dest in pending:
-                pending[dest].append(msg)
-        for msg in out.to_supervisor:
+            carried.update(msg.ids())
             to_sup.append((u, msg))
+        violations += len((st.address_ids() | dests | carried) - vouched)
+        n_messages += len(out.sends) + len(out.to_supervisor)
 
     for u, st in nodes.items():
         st.channel = pending[u]
@@ -479,24 +481,18 @@ def classify_structures(config: Configuration) -> StructureCensus:
 # --- legality and distance checks -------------------------------------------
 
 
-def _out_degrees(config: Configuration) -> dict[NodeId, int]:
-    deg = {u: 0 for u in config.nodes}
-    for u, _v in explicit_edges(config):
-        deg[u] += 1
-    return deg
-
-
 def is_legal(config: Configuration, c_extra: int = 2) -> bool:
     """Target shape reached: each sorted-consecutive pair is explicitly
     linked in at least one direction and every explicit out-degree stays
     within an additive O(log n) slack of its target degree."""
-    ids = config.ids()
+    return _legal(explicit_out(config), c_extra)
+
+
+def _legal(out: dict[NodeId, set[NodeId]], c_extra: int = 2) -> bool:
+    ids = sorted(out)
     n = len(ids)
     if n <= 1:
         return True
-    out: dict[NodeId, set[NodeId]] = {u: set() for u in ids}
-    for u, v in explicit_edges(config):
-        out[u].add(v)
     for a, b in zip(ids, ids[1:]):
         if b not in out[a] and a not in out[b]:
             return False
@@ -598,8 +594,23 @@ def _scenario_supervisor(scenario: Scenario, membership) :
 
 
 def _degree_high_water(config: Configuration) -> int:
-    degs = _out_degrees(config)
-    return max(degs.values(), default=0)
+    return _max_degree(explicit_out(config))
+
+
+def _max_degree(out: dict[NodeId, set[NodeId]]) -> int:
+    return max(map(len, out.values()), default=0)
+
+
+def _monitor(config: Configuration, pair: Optional[tuple[NodeId, NodeId]],
+             ) -> tuple[bool, int, bool, Optional[int]]:
+    """Connectivity, explicit degree high-water, legality and the pair's
+    distance (n when apart; None without a pair), all read from one
+    explicit out-set map and one communication graph."""
+    out = explicit_out(config)
+    adj = undirected(out, implicit_out(config))
+    dist = bfs_distances(adj, min(adj) if pair is None else pair[0])
+    distance = None if pair is None else dist.get(pair[1], len(adj))
+    return len(dist) == len(adj), _max_degree(out), _legal(out), distance
 
 
 def _trace_record(config: Configuration, stats: RoundStats, legal: bool,
@@ -651,18 +662,16 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
     metrics = RunMetrics()
     pair_distances: list[int] = []
 
-    def record_pair() -> None:
-        if pair is None:
-            return
-        adj = communication_graph(config)
-        d = bfs_distances(adj, pair[0]).get(pair[1])
-        pair_distances.append(d if d is not None else len(config.nodes))
+    def observe() -> tuple[bool, bool]:
+        connected, degree, legal, distance = _monitor(config, pair)
+        if not connected:
+            metrics.connectivity_violations += 1
+        metrics.max_degree_seen = max(metrics.max_degree_seen, degree)
+        if distance is not None:
+            pair_distances.append(distance)
+        return connected, legal
 
-    if not is_weakly_connected(config):
-        metrics.connectivity_violations += 1
-    metrics.max_degree_seen = _degree_high_water(config)
-    record_pair()
-    legal = is_legal(config)
+    _connected, legal = observe()
     if legal:
         metrics.rounds_to_legal = 0
 
@@ -678,12 +687,7 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
         r += 1
         metrics.messages_per_round.append(stats.messages)
         metrics.sybil_violations += stats.provenance_violations
-        connected = is_weakly_connected(config)
-        if not connected:
-            metrics.connectivity_violations += 1
-        metrics.max_degree_seen = max(metrics.max_degree_seen,
-                                      _degree_high_water(config))
-        record_pair()
+        connected, legal = observe()
         sup = config.supervisor
         if sup is not None and len(sup.advice_rounds) > advice_seen:
             advice_seen = len(sup.advice_rounds)
@@ -696,7 +700,6 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
                 and ever_dual and ever_dual <= rejected_since
                 and not any(st.dual for st in config.nodes.values())):
             metrics.rounds_to_all_reject = r - last_advice
-        legal = is_legal(config)
         if legal:
             metrics.rounds_to_legal = r
         if trace_path is not None:

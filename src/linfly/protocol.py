@@ -12,7 +12,9 @@ raised by a response handler still takes effect (teardown) only next round.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .baseline import base_step, flush
@@ -39,11 +41,35 @@ from .core import (
     TestLineR,
     TestVID,
     Verified,
-    message_key,
+    VERIFIED_KINDS,
     vouched_ids,
 )
 
 Send = tuple[NodeId, Message]
+
+# Processing order within one message class: each class's key() without
+# its class rank. Handlers read one class at a time, so only the order
+# inside a class matters; classes without fields need no sort.
+SORT_KEYS = {
+    TestLineR: attrgetter("sender"),
+    TestLineL: attrgetter("sender"),
+    FlyConstR: attrgetter("level", "sender", "w"),
+    FlyConstL: attrgetter("level", "sender", "w"),
+    TestVID: attrgetter("vid"),
+    TestFlyID: lambda m: -1 if m.flyid is None else m.flyid,
+    TestCert: attrgetter("target_vid", "dist", "origin"),
+    IntroCert: attrgetter("sender"),
+    Intro: attrgetter("id"),
+    Neighborhood: attrgetter("members"),
+    Advice: lambda m: (m.vid, m.c_par, m.c_dist,
+                       -1 if m.par is None else m.par, m.dist),
+    TestAdvice: attrgetter("sender", "dist"),
+    Verified: lambda m: (VERIFIED_KINDS.index(m.kind), m.id),
+    PathPlus: attrgetter("id"),
+    PathMinus: attrgetter("id"),
+    Rev: attrgetter("dest", "payload"),
+    Base: attrgetter("payload"),
+}
 
 
 @dataclass
@@ -91,10 +117,10 @@ def _scrub_self(st: NodeState) -> None:
 
 
 def _basic_checks(st: NodeState, rejected: bool) -> None:
-    S = st.S
+    dual = st.dual
     if rejected:
         st.exit = 1
-    if not S and (st.c_ids or st.flyid != st.id):
+    if not dual and (st.c_ids or st.flyid != st.id):
         st.exit = 1
     if (not st.L and st.R) and (st.vid != 1 or st.flyid != st.id):
         st.exit = 1
@@ -102,7 +128,7 @@ def _basic_checks(st: NodeState, rejected: bool) -> None:
         st.exit = 1
     if (st.vid == 1 and st.c_dist != 0) or (st.vid > 1 and st.c_dist <= 0):
         st.exit = 1
-    if S and st.vid > 1 and next_stop(st, st.c_par) is None:
+    if dual and st.vid > 1 and next_stop(st, st.c_par) is None:
         st.exit = 1
     if len(st.c_ids) > 2:
         st.exit = 1
@@ -116,7 +142,7 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
     flyids = (st.S | {st.flyid} | st.c_ids) - {st.id}
     for v in sorted(flyids):
         out.sends.append((v, RejFlyover()))
-    st.base_mem = flush(st.base_mem, flyids, st.id)
+    flush(st.base_mem, flyids, st.id)
     st.L = []
     st.R = []
     st.vid = 0
@@ -132,7 +158,7 @@ def _refuse(st: NodeState, ids: tuple, out: RoundOutput) -> None:
     # tell every named peer its flyover traffic is refused, keep the ids
     for v in sorted(set(ids) - {st.id}):
         out.sends.append((v, RejFlyover()))
-    st.base_mem = flush(st.base_mem, ids, st.id)
+    flush(st.base_mem, ids, st.id)
 
 
 def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput) -> None:
@@ -143,7 +169,7 @@ def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput)
             sen = m.sender
             if not near or near[0] != sen:
                 st.exit = 1
-            if not st.S or st.exit == 1:
+            if not st.dual or st.exit == 1:
                 _refuse(st, (sen,), out)
     for kind, near, level in ((FlyConstR, st.L, st.s_l), (FlyConstL, st.R, st.s_r)):
         for m in by_type.get(kind, ()):
@@ -153,11 +179,11 @@ def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput)
             if len(near) >= i + 1 and level(i + 1) != w:
                 st.exit = 1
             if st.exit == 0 and 1 < len(near) < i:
-                st.base_mem = flush(st.base_mem, (sen, w), st.id)
+                flush(st.base_mem, (sen, w), st.id)
             if st.exit == 0 and len(near) == i and level(i) == sen:
                 if w != st.id:
                     near.append(w)
-            if not st.S or st.exit == 1:
+            if not st.dual or st.exit == 1:
                 _refuse(st, (sen, w), out)
 
 
@@ -169,11 +195,11 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
             st.exit = 1
         if st.vid != tvid and next_stop(st, tvid) is None:
             st.exit = 1
-        if not st.S or st.exit == 1:
+        if not st.dual or st.exit == 1:
             _refuse(st, (w,), out)
         elif st.vid != tvid:
             if not prop:
-                st.base_mem = flush(st.base_mem, (w,), st.id)
+                flush(st.base_mem, (w,), st.id)
             else:
                 out.sends.append((next_stop(st, tvid), m))
         else:
@@ -187,13 +213,13 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
 
 def _r_test_flyover_metadata(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     for m in by_type.get(TestVID, ()):
-        if not st.S or st.vid != m.vid:
+        if not st.dual or st.vid != m.vid:
             st.exit = 1
     for m in by_type.get(TestFlyID, ()):
         f = m.flyid
         if st.L and st.exit == 0 and st.flyid == st.id and f is not None:
             st.flyid = f
-        if (st.S and st.flyid != f) or (not st.S and f is not None):
+        if (st.flyid != f) if st.dual else (f is not None):
             st.exit = 1
         if st.exit == 1 and f is not None:
             _refuse(st, (f,), out)
@@ -217,20 +243,22 @@ def _test_conn_certificate(st: NodeState, out: RoundOutput) -> None:
 
 
 def _test_flyover_metadata(st: NodeState, out: RoundOutput,
-                           channel_ids: set[NodeId]) -> None:
+                           delivered: list) -> None:
     # a node advertises its flyover id only once it actually sits in one:
     # the leftmost member (vid 1) must hold shortcuts, any other member must
     # already have adopted a foreign flyid
-    prop = (st.vid == 1 and bool(st.S)) or (st.vid > 1 and st.flyid != st.id)
+    prop = (st.vid == 1 and st.dual) or (st.vid > 1 and st.flyid != st.id)
     for side, sign in ((st.R, 1), (st.L, -1)):
         for i, v in enumerate(side):
             out.sends.append((v, TestVID(st.vid + sign * 2 ** i)))
-    if not st.S and st.vid == 0:
-        for v in sorted((st.address_ids() | channel_ids) - {st.id}):
-            out.sends.append((v, TestFlyID(None)))
+    # messages are immutable, so one instance serves every receiver
+    if not st.dual and st.vid == 0:
+        msg = TestFlyID(None)
+        out.sends += [(v, msg) for v in
+                      sorted((st.address_ids() | vouched_ids(delivered)) - {st.id})]
     if prop:
-        for v in sorted(st.address_ids() - {st.id, st.flyid}):
-            out.sends.append((v, TestFlyID(st.flyid)))
+        msg = TestFlyID(st.flyid)
+        out.sends += [(v, msg) for v in sorted(st.address_ids() - {st.id, st.flyid})]
 
 
 def _basic_checks2(st: NodeState) -> None:
@@ -242,7 +270,7 @@ def _basic_checks2(st: NodeState) -> None:
         st.t -= 1
     # reset the path position only once the advice window is over, so a
     # mid-pipeline node keeps the position it was advised
-    if st.t == 0 and (not st.S or st.exit == 1):
+    if st.t == 0 and (not st.dual or st.exit == 1):
         st.vid = 0
 
 
@@ -259,7 +287,7 @@ def _snapshot_req(st: NodeState, by_type: dict, out: RoundOutput) -> None:
 
 
 def _get_advice(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    busy = not (not st.S and st.exit == 0 and st.t > 1)
+    busy = not (not st.dual and st.exit == 0 and st.t > 1)
     snap = {m.id for m in by_type.get(Intro, ())}
     advs = by_type.get(Advice, ())
     if advs and not busy and st.t == 4:
@@ -271,11 +299,11 @@ def _get_advice(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             st.dist = adv.dist
             if adv.par is not None:
                 out.sends.append((adv.par, TestAdvice(st.dist, st.id)))
-    st.base_mem = flush(st.base_mem, snap, st.id)
+    flush(st.base_mem, snap, st.id)
 
 
 def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    ignore = not (not st.S and st.exit == 0 and st.t > 1)
+    ignore = not (not st.dual and st.exit == 0 and st.t > 1)
     children: set[NodeId] = set()
     for m in by_type.get(TestAdvice, ()):
         children.add(m.sender)
@@ -283,7 +311,7 @@ def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             ignore = True
     if not ignore and children:
         _setup_local_transform(st, sorted(children), out)
-    st.base_mem = flush(st.base_mem, children, st.id)
+    flush(st.base_mem, children, st.id)
 
 
 def _setup_local_transform(st: NodeState, children: list[NodeId],
@@ -300,7 +328,7 @@ def _setup_local_transform(st: NodeState, children: list[NodeId],
 
 
 def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    ignore = not (not st.S and st.exit == 0 and st.t > 1)
+    ignore = not (not st.dual and st.exit == 0 and st.t > 1)
     parent = r_sib = l_sib = None
     children: set[NodeId] = set()
     for m in by_type.get(Verified, ()):
@@ -326,7 +354,7 @@ def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
         ignore = True
     if not ignore and parent is not None:
         _execute_transform(st, parent, r_sib, l_sib, sorted(children), out)
-    st.base_mem = flush(st.base_mem, {parent, r_sib, l_sib} | children, st.id)
+    flush(st.base_mem, {parent, r_sib, l_sib} | children, st.id)
 
 
 def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
@@ -348,7 +376,7 @@ def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
 
 
 def _join_path(st: NodeState, by_type: dict) -> None:
-    ignore = not (not st.S and st.exit == 0 and st.t >= 1)
+    ignore = not (not st.dual and st.exit == 0 and st.t >= 1)
     fly_l = fly_r = None
     for m in by_type.get(PathPlus, ()):
         if fly_r is not None:
@@ -356,36 +384,36 @@ def _join_path(st: NodeState, by_type: dict) -> None:
         if not ignore:
             fly_r = m.id
         else:
-            st.base_mem = flush(st.base_mem, (m.id,), st.id)
+            flush(st.base_mem, (m.id,), st.id)
     for m in by_type.get(PathMinus, ()):
         if st.vid == 1 or fly_l is not None:
             ignore = True
         if not ignore:
             fly_l = m.id
         else:
-            st.base_mem = flush(st.base_mem, (m.id,), st.id)
+            flush(st.base_mem, (m.id,), st.id)
     if not ignore:
         if fly_l is not None and fly_l != st.id:
             st.L = [fly_l]
         if fly_r is not None and fly_r != st.id:
             st.R = [fly_r]
-    st.base_mem = flush(st.base_mem, (fly_l, fly_r), st.id)
+    flush(st.base_mem, (fly_l, fly_r), st.id)
 
 
 def _transfer_advised(st: NodeState) -> None:
-    st.base_mem = flush(st.base_mem, st.c_ids, st.id)
+    flush(st.base_mem, st.c_ids, st.id)
 
 
 def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, RoundOutput]:
     """Run one full round for a single node, mutating and returning state."""
     st = state
     _scrub_self(st)
-    msgs = sorted(delivered, key=message_key)
-    by_type: dict[type, list] = {}
-    for m in msgs:
-        by_type.setdefault(type(m), []).append(m)
-    channel_ids = vouched_ids(msgs)
-    channel_ids.discard(st.id)
+    by_type: dict[type, list] = defaultdict(list)
+    for m in delivered:
+        by_type[type(m)].append(m)
+    for cls, group in by_type.items():
+        if len(group) > 1 and cls in SORT_KEYS:
+            group.sort(key=SORT_KEYS[cls])
 
     out = RoundOutput()
     _basic_checks(st, RejFlyover in by_type)
@@ -395,7 +423,7 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
     _r_test_flyover_metadata(st, by_type, out)
     _test_flyover_construction(st, out)
     _test_conn_certificate(st, out)
-    _test_flyover_metadata(st, out, channel_ids)
+    _test_flyover_metadata(st, out, delivered)
     _basic_checks2(st)
     _snapshot_req(st, by_type, out)
     _get_advice(st, by_type, out)

@@ -6,10 +6,15 @@ import random
 
 import pytest
 
+from linfly import engine
 from linfly.baseline import Base
 from linfly.core import (
+    Advice,
     Configuration,
+    Intro,
+    IntroCert,
     NodeState,
+    Rev,
     bfs_distances,
     communication_graph,
     initial_configuration,
@@ -17,6 +22,7 @@ from linfly.core import (
 )
 from linfly.engine import (
     CORRUPTIONS,
+    _degree_high_water,
     RoundStats,
     Scenario,
     classify_structures,
@@ -390,6 +396,65 @@ def test_run_trace_file(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     json.loads(lines[0])
+
+
+def _with_strays(inject):
+    """inject_faults, then channel messages naming absent nodes, the
+    receiver itself and no node at all, on every third node."""
+    def inject_with_strays(config, corruption, seed):
+        inject(config, corruption, seed)
+        absent = max(config.nodes) + 1
+        for u in sorted(config.nodes)[::3]:
+            config.nodes[u].channel += [
+                Intro(absent), Base((absent, u)), Rev(absent, (u,)),
+                IntroCert(u), TestFlyID(None), Advice(2, 1, 1, None, 1),
+            ]
+        return config
+    return inject_with_strays
+
+
+@pytest.mark.parametrize("supervisor", ["honest", "none", "sybil"])
+@pytest.mark.parametrize("topology", ["random_connected", "far_pair"])
+def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology):
+    # run() reads connectivity, degree, legality and pair distance from one
+    # graph per round; each must equal its standalone public function
+    seen = []
+
+    def public_checks(config):
+        pair = (7, 8) if topology == "far_pair" else None
+        dist = None
+        if pair is not None:
+            dist = bfs_distances(communication_graph(config), pair[0]).get(
+                pair[1], len(config.nodes))
+        seen.append((is_weakly_connected(config), _degree_high_water(config),
+                     is_legal(config), dist))
+
+    def inject_and_check(config, corruption, seed):
+        strays(config, corruption, seed)
+        public_checks(config)
+        return config
+
+    def step_and_check(config, stats=None):
+        step(config, stats)
+        public_checks(config)
+        return config
+
+    strays, step = _with_strays(engine.inject_faults), engine.step_round
+    monkeypatch.setattr(engine, "inject_faults", inject_and_check)
+    monkeypatch.setattr(engine, "step_round", step_and_check)
+    buf = io.StringIO()
+    res = run(Scenario(n=16, topology=topology, supervisor=supervisor,
+                       corruption="all", seed=4), trace_path=buf)
+    trace = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert len(seen) == res.rounds + 1 == len(trace) + 1
+    assert [(t["connected"], t["legal"]) for t in trace] == [
+        (c, legal) for c, _d, legal, _p in seen[1:]]
+    m = res.metrics
+    assert m.connectivity_violations == sum(not c for c, *_ in seen)
+    assert m.max_degree_seen == max(d for _c, d, *_ in seen)
+    assert m.rounds_to_legal == next(
+        (r for r, (*_, legal, _p) in enumerate(seen) if legal), None)
+    assert res.pair_distances == [p for *_, p in seen if p is not None]
 
 
 def test_run_is_deterministic():

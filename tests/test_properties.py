@@ -28,18 +28,23 @@ from linfly.core import (
     TestLineR,
     TestVID,
     Verified,
+    bfs_distances,
+    communication_graph,
     initial_configuration,
     is_weakly_connected,
     vouched_ids,
 )
 from linfly.engine import (
     CORRUPTIONS,
+    _degree_high_water,
+    _monitor,
     classify_structures,
     inject_faults,
+    is_legal,
     make_topology,
     step_round,
 )
-from linfly.protocol import next_stop, node_round
+from linfly.protocol import SORT_KEYS, next_stop, node_round
 from linfly.supervisor import make_supervisor
 from linfly.ttp import label_tree, oracle_is_valid_output, tree_to_path
 
@@ -149,6 +154,18 @@ messages = hs.one_of(
 )
 
 
+@given(bag=hs.lists(messages, min_size=2, max_size=30))
+def test_sort_keys_are_message_key_within_a_class(bag):
+    canonical = sorted(bag, key=lambda m: m.key())
+    for cls in {type(m) for m in bag}:
+        group = [m for m in bag if type(m) is cls]
+        if cls in SORT_KEYS:
+            group.sort(key=SORT_KEYS[cls])
+        else:
+            assert not cls.__dataclass_fields__
+        assert group == [m for m in canonical if type(m) is cls]
+
+
 def _draw_node(data) -> NodeState:
     node_id = data.draw(ids_strategy)
     if data.draw(hs.booleans()):
@@ -205,6 +222,55 @@ def test_node_round_only_uses_delivered_or_known_ids(data):
         assert set(msg.ids()) <= known
     for reg in (after.L, after.R, after.c_ids, after.base_mem):
         assert after.id not in reg
+
+
+def _reference_monitors(config, source, target):
+    """Connectivity, explicit degree high-water and the distance from source
+    to target, computed from the registers and channels directly."""
+    nodes = config.nodes
+    stored = {u: {v for v in st.address_ids() if v in nodes and v != u}
+              for u, st in nodes.items()}
+    link = {u: set() for u in nodes}
+    for u, st in nodes.items():
+        carried = {v for msg in st.channel for v in msg.ids()}
+        for v in stored[u] | carried:
+            if v in nodes and v != u:
+                link[u].add(v)
+                link[v].add(u)
+    dist = {source: 0}
+    queue = [source]
+    for x in queue:
+        for y in sorted(link[x]):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    degree = max(len(vs) for vs in stored.values())
+    return len(dist) == len(nodes), degree, dist.get(target, len(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_fused_monitors_match_reference_and_public_checks(data):
+    # nodes 0..n-1; registers and channels also name absent ids (up to 11),
+    # the holder's own id and None
+    n = data.draw(hs.integers(min_value=1, max_value=7))
+    cfg = initial_configuration({u: set() for u in range(n)})
+    for u, st in cfg.nodes.items():
+        st.L = data.draw(hs.lists(wire_ids, max_size=2))
+        st.R = data.draw(hs.lists(wire_ids, max_size=2))
+        st.flyid = data.draw(wire_ids | hs.none())
+        st.c_ids = data.draw(hs.sets(wire_ids, max_size=2))
+        st.base_mem = data.draw(hs.sets(wire_ids, max_size=3))
+        st.channel = data.draw(hs.lists(messages, max_size=3))
+    source = data.draw(hs.integers(min_value=0, max_value=n - 1))
+    target = data.draw(hs.integers(min_value=0, max_value=n - 1))
+    connected, degree, legal, distance = _monitor(cfg, (source, target))
+    assert (connected, degree, distance) == _reference_monitors(cfg, source, target)
+    assert _monitor(cfg, None) == (connected, degree, legal, None)
+    assert connected == is_weakly_connected(cfg)
+    assert degree == _degree_high_water(cfg)
+    assert legal == is_legal(cfg)
+    assert distance == bfs_distances(communication_graph(cfg), source).get(target, n)
 
 
 @settings(max_examples=30, deadline=None)
