@@ -312,26 +312,29 @@ def step_round(config: Configuration, stats: Optional[RoundStats] = None,
     for u in sorted(nodes):
         st = nodes[u]
         delivered = deliveries[u]
-        vouched = vouched_ids(delivered)
-        vouched |= st.address_ids()
+        vouched = vouched_ids(delivered) | st.address_ids()
         vouched.add(u)
         st, out = node_round(st, delivered)
         nodes[u] = st
         if out.did_reject:
             rejected.add(u)
-        dests: set = set()
-        carried: set = set()
+        # one pass over the sends routes and audits them; per-id membership
+        # tests beat set unions here, since most messages carry one id
+        bad = st.address_ids() - vouched
         for dest, msg in out.sends:
-            dests.add(dest)
-            carried.update(msg.ids())
-            box = pending.get(dest)
-            if box is not None:
-                box.append(msg)
-        carried.discard(None)
+            if dest in pending:
+                pending[dest].append(msg)
+            if dest not in vouched:
+                bad.add(dest)
+            for v in msg.ids():
+                if v is not None and v not in vouched:
+                    bad.add(v)
         for msg in out.to_supervisor:
-            carried.update(msg.ids())
             to_sup.append((u, msg))
-        violations += len((st.address_ids() | dests | carried) - vouched)
+            for v in msg.ids():
+                if v not in vouched:
+                    bad.add(v)
+        violations += len(bad)
         n_messages += len(out.sends) + len(out.to_supervisor)
 
     for u, st in nodes.items():
