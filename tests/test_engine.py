@@ -398,30 +398,16 @@ def test_run_trace_file(tmp_path):
     json.loads(lines[0])
 
 
-def _with_strays(inject):
-    """inject_faults, then channel messages naming absent nodes, the
-    receiver itself and no node at all, on every third node."""
-    def inject_with_strays(config, corruption, seed):
-        inject(config, corruption, seed)
-        absent = max(config.nodes) + 1
-        for u in sorted(config.nodes)[::3]:
-            config.nodes[u].channel += [
-                Intro(absent), Base((absent, u)), Rev(absent, (u,)),
-                IntroCert(u), TestFlyID(None), Advice(2, 1, 1, None, 1),
-            ]
-        return config
-    return inject_with_strays
-
-
 @pytest.mark.parametrize("supervisor", ["honest", "none", "sybil"])
 @pytest.mark.parametrize("topology", ["random_connected", "far_pair"])
 def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology):
     # run() reads connectivity, degree, legality and pair distance from one
     # graph per round; each must equal its standalone public function
+    inject, step = engine.inject_faults, engine.step_round
+    pair = (7, 8) if topology == "far_pair" else None
     seen = []
 
     def public_checks(config):
-        pair = (7, 8) if topology == "far_pair" else None
         dist = None
         if pair is not None:
             dist = bfs_distances(communication_graph(config), pair[0]).get(
@@ -430,7 +416,15 @@ def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology)
                      is_legal(config), dist))
 
     def inject_and_check(config, corruption, seed):
-        strays(config, corruption, seed)
+        # every third channel also names an absent node, the receiver
+        # itself and no node at all
+        inject(config, corruption, seed)
+        absent = max(config.nodes) + 1
+        for u in sorted(config.nodes)[::3]:
+            config.nodes[u].channel += [
+                Intro(absent), Base((absent, u)), Rev(absent, (u,)),
+                IntroCert(u), TestFlyID(None), Advice(2, 1, 1, None, 1),
+            ]
         public_checks(config)
         return config
 
@@ -439,7 +433,6 @@ def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology)
         public_checks(config)
         return config
 
-    strays, step = _with_strays(engine.inject_faults), engine.step_round
     monkeypatch.setattr(engine, "inject_faults", inject_and_check)
     monkeypatch.setattr(engine, "step_round", step_and_check)
     buf = io.StringIO()
