@@ -12,6 +12,11 @@ grid of 4 corruptions x {random_connected, far_pair} x n in {8, 32}:
 - cli: the CSV and the `--trace` JSONL bytes that `linfly` writes for
   each scenario of the grid, plus its exit status.
 
+The grid stops at n=32, where an unsupervised run is short. LONG_DIGESTS
+pins the rounds digest of two longer unsupervised runs, uncorrupted, at
+the same seed: `far_pair` n=96 (146 rounds) and `random_connected`
+n=128 (22 rounds).
+
 A digest changes only when behaviour does. Regenerating them is a
 deliberate act: run
 
@@ -85,6 +90,12 @@ RUN_DIGESTS = {
 }
 
 
+LONG_DIGESTS = {
+    ("far_pair", 96): "d90d7d1295f6601cf9c6eb7546be69a4c82de9b5a062ada4c5147671a4e364ec",
+    ("random_connected", 128): "9db48a89af077c8cd1b9d9d633a6e325c034e8e19d386eaf7679a63037bb76a7",
+}
+
+
 def _grid():
     return itertools.product(CORRUPTIONS, TOPOLOGIES, SIZES)
 
@@ -97,20 +108,30 @@ def _supervisor(mode: str, membership: set):
     return make_supervisor(membership, mode)
 
 
+def _hash_rounds(h, mode: str, corruption: str, topology: str, n: int) -> None:
+    adjacency, _pair = make_topology(topology, n, random.Random(SEED))
+    config = initial_configuration(adjacency)
+    config.supervisor = _supervisor(mode, set(config.ids()))
+    inject_faults(config, corruption, SEED)
+    h.update(config.dumps().encode())
+    while not is_legal(config) and config.round_no < default_max_rounds(n):
+        stats = RoundStats()
+        step_round(config, stats)
+        h.update(config.dumps().encode())
+        h.update(repr((stats.messages, sorted(stats.rejected),
+                       stats.provenance_violations)).encode())
+
+
 def round_digest(mode: str) -> str:
     h = hashlib.sha256()
     for corruption, topology, n in _grid():
-        adjacency, _pair = make_topology(topology, n, random.Random(SEED))
-        config = initial_configuration(adjacency)
-        config.supervisor = _supervisor(mode, set(config.ids()))
-        inject_faults(config, corruption, SEED)
-        h.update(config.dumps().encode())
-        while not is_legal(config) and config.round_no < default_max_rounds(n):
-            stats = RoundStats()
-            step_round(config, stats)
-            h.update(config.dumps().encode())
-            h.update(repr((stats.messages, sorted(stats.rejected),
-                           stats.provenance_violations)).encode())
+        _hash_rounds(h, mode, corruption, topology, n)
+    return h.hexdigest()
+
+
+def long_digest(topology: str, n: int) -> str:
+    h = hashlib.sha256()
+    _hash_rounds(h, "none", "none", topology, n)
     return h.hexdigest()
 
 
@@ -160,6 +181,11 @@ def test_cli_digest(mode):
     assert cli_digest(mode) == CLI_DIGESTS[mode]
 
 
+@pytest.mark.parametrize("topology,n", LONG_DIGESTS)
+def test_long_unsupervised_digest(topology, n):
+    assert long_digest(topology, n) == LONG_DIGESTS[(topology, n)]
+
+
 if __name__ == "__main__":
     for name, fn in (("ROUND_DIGESTS", round_digest),
                      ("RUN_DIGESTS", run_digest),
@@ -168,3 +194,7 @@ if __name__ == "__main__":
         for mode in SUPERVISOR_MODES:
             print(f'    "{mode}": "{fn(mode)}",')
         print("}\n")
+    print("LONG_DIGESTS = {")
+    for topology, n in LONG_DIGESTS:
+        print(f'    ("{topology}", {n}): "{long_digest(topology, n)}",')
+    print("}")

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from linfly.baseline import base_step, flush
@@ -44,7 +44,8 @@ from linfly.engine import (
     make_topology,
     step_round,
 )
-from linfly.protocol import SORT_KEYS, next_stop, node_round
+from linfly import protocol
+from linfly.protocol import SORT_KEYS, RoundOutput, next_stop, node_round
 from linfly.supervisor import make_supervisor
 from linfly.ttp import label_tree, oracle_is_valid_output, tree_to_path
 
@@ -196,6 +197,121 @@ def test_node_round_only_uses_known_ids(data):
         assert set(msg.ids()) <= known
     for reg in (after.L, after.R, after.c_ids, after.base_mem):
         assert after.id not in reg
+
+
+# The message kinds each guarded step of node_round reads; without any of
+# them it must leave the node and the round's output alone.
+GUARDED_KINDS = {
+    "_r_test_flyover_construction": {TestLineR, TestLineL, FlyConstR, FlyConstL},
+    "_r_test_conn_certificate": {TestCert, IntroCert},
+    "_r_test_flyover_metadata": {TestVID, TestFlyID},
+    "advice pipeline": {RequestSnapshot, Intro, Advice, TestAdvice, Verified,
+                        PathPlus, PathMinus},
+}
+
+
+def _advice_pipeline(st, by_type, out):
+    protocol._snapshot_req(st, by_type, out)
+    protocol._get_advice(st, by_type, out)
+    protocol._certify_tree(st, by_type, out)
+    protocol._local_transform(st, by_type, out)
+    protocol._join_path(st, by_type)
+
+
+GUARDED_STEPS = {
+    "_r_test_flyover_construction": protocol._r_test_flyover_construction,
+    "_r_test_conn_certificate": protocol._r_test_conn_certificate,
+    "_r_test_flyover_metadata": protocol._r_test_flyover_metadata,
+    "advice pipeline": _advice_pipeline,
+}
+
+
+def _output(out: RoundOutput):
+    return (list(out.sends), list(out.to_supervisor), out.did_reject)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_guarded_steps_ignore_rounds_without_their_kinds(data):
+    dual = data.draw(hs.booleans())
+    sides = hs.lists(ids_strategy, min_size=1 if dual else 0,
+                     max_size=4 if dual else 0)
+    left, right = data.draw(sides), data.draw(sides)
+    if dual and data.draw(hs.booleans()):
+        left, right = (left, []) if data.draw(hs.booleans()) else ([], right)
+    node = NodeState(
+        id=data.draw(ids_strategy), L=left, R=right,
+        vid=data.draw(small_ints), flyid=data.draw(ids_strategy | hs.none()),
+        exit=data.draw(hs.integers(min_value=0, max_value=1)),
+        c_par=data.draw(small_ints), c_dist=data.draw(small_ints),
+        c_ids=data.draw(id_sets),
+        t=data.draw(hs.integers(min_value=0, max_value=5)),
+        dist=data.draw(small_ints), base_mem=data.draw(id_sets),
+    )
+    bag = data.draw(hs.lists(messages, max_size=12))
+    prior = data.draw(hs.lists(hs.builds(Base, id_tuples), max_size=2))
+    for name, step in GUARDED_STEPS.items():
+        by_type = {}
+        for m in bag:
+            if type(m) not in GUARDED_KINDS[name]:
+                by_type.setdefault(type(m), []).append(m)
+        st = node.clone()
+        out = RoundOutput(sends=[(0, m) for m in prior])
+        before = (st.to_record(), _output(out))
+        step(st, by_type, out)
+        assert (st.to_record(), _output(out)) == before, name
+    if not node.dual:
+        st, out = node.clone(), RoundOutput()
+        protocol._test_flyover_construction(st, out)
+        assert (st.to_record(), _output(out)) == (node.to_record(), _output(RoundOutput()))
+
+
+def _reference_base_step(self_id, mem, delivered):
+    """base_step as two comprehension splits of its memory."""
+    sends = []
+    mem = set(mem)
+    for msg in delivered:
+        if isinstance(msg, Base):
+            mem.update(v for v in msg.payload if v != self_id)
+        elif isinstance(msg, Rev) and msg.dest != self_id:
+            head = msg.payload[:1] == (self_id,)
+            sends.append((msg.dest, Base(payload=msg.payload if head else (self_id,))))
+    lset = sorted(v for v in mem if v < self_id)
+    rset = sorted(v for v in mem if v > self_id)
+    new_mem = set()
+    if lset:
+        new_mem.add(lset[-1])
+        sends.append((lset[-1], Base(payload=(self_id,))))
+        sends += [(lset[i], Rev(dest=lset[i + 1], payload=(lset[i],)))
+                  for i in range(len(lset) - 1)]
+    if rset:
+        new_mem.add(rset[0])
+        sends.append((rset[0], Base(payload=(self_id,))))
+        sends += [(rset[i], Rev(dest=rset[i - 1], payload=(rset[i],)))
+                  for i in range(1, len(rset))]
+    return new_mem, sends
+
+
+base_ids = hs.integers(min_value=0, max_value=12)
+base_payloads = hs.lists(base_ids, max_size=3).map(tuple)
+base_bags = hs.lists(hs.builds(Base, base_payloads)
+                     | hs.builds(Rev, base_ids, base_payloads), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(self_id=base_ids, mem=hs.sets(base_ids, max_size=9), delivered=base_bags)
+@example(self_id=5, mem=set(), delivered=[])
+@example(self_id=5, mem={5}, delivered=[])
+@example(self_id=5, mem={1, 2, 5}, delivered=[])
+@example(self_id=5, mem={5, 8, 9}, delivered=[])
+@example(self_id=0, mem={0, 3, 4}, delivered=[Base(payload=(0,))])
+@example(self_id=12, mem={2, 12}, delivered=[Rev(dest=3, payload=(12, 4))])
+def test_base_step_matches_the_comprehension_split(self_id, mem, delivered):
+    # mem may hold the node's own id: it sits on neither side and is dropped
+    before = set(mem)
+    assert base_step(self_id, mem, list(delivered)) == \
+        _reference_base_step(self_id, mem, delivered)
+    assert mem == before
 
 
 def _reference_monitors(config, source, target):
