@@ -13,6 +13,7 @@ clone never changes its original.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 from .core import Base, Message, NodeId, Rev
@@ -74,8 +75,9 @@ def base_step(self_id: NodeId, mem: set[NodeId],
         elif isinstance(msg, Rev):
             sends.extend(handle_rev(self_id, msg))
 
-    lset = sorted(v for v in mem if v < self_id)
-    rset = sorted(v for v in mem if v > self_id)
+    ordered = sorted(mem)
+    lset = ordered[:bisect_left(ordered, self_id)]
+    rset = ordered[bisect_right(ordered, self_id):]
     new_mem = set()
     if lset:
         new_mem.add(lset[-1])

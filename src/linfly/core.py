@@ -257,12 +257,15 @@ def message_to_obj(msg: Message) -> list:
     return [type(msg).__name__] + [getattr(msg, f) for f in msg.__dataclass_fields__]
 
 
+_SUPERVISOR_KINDS = frozenset({Advice, RequestSnapshot})
+
+
 def vouched_ids(msgs) -> set[NodeId]:
     """Ids that the node-originated messages among msgs hand to their
     receiver; supervisor messages (Advice, RequestSnapshot) vouch for none."""
     out: set[NodeId] = set()
     for msg in msgs:
-        if not isinstance(msg, (Advice, RequestSnapshot)):
+        if type(msg) not in _SUPERVISOR_KINDS:
             out.update(msg.ids())
     return out
 

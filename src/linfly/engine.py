@@ -312,7 +312,8 @@ def step_round(config: Configuration, stats: Optional[RoundStats] = None,
     for u in sorted(nodes):
         st = nodes[u]
         delivered = deliveries[u]
-        vouched = vouched_ids(delivered) | st.address_ids()
+        vouched = st.address_ids()
+        vouched |= vouched_ids(delivered)
         vouched.add(u)
         st, out = node_round(st, delivered)
         nodes[u] = st

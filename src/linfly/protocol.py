@@ -8,6 +8,11 @@ base algorithm. Response handlers run before the test senders so that a
 shortcut level learned from this round's deliveries is propagated in this
 round's sends; that keeps construction at one level per round. An exit flag
 raised by a response handler still takes effect (teardown) only next round.
+
+A node-round costs what its inputs ask for: each response handler, and the
+advice pipeline as one block, runs only when a message kind it reads (the
+*_KINDS sets) was delivered, since it changes nothing otherwise, and only
+dual nodes send construction probes; every other step runs every round.
 """
 
 from __future__ import annotations
@@ -70,6 +75,14 @@ SORT_KEYS = {
     Rev: attrgetter("dest", "payload"),
     Base: attrgetter("payload"),
 }
+
+# The kinds each guarded step reads. Without one of them the step changes
+# neither the node nor the round's output, so node_round skips it.
+CONSTRUCTION_KINDS = frozenset({TestLineR, TestLineL, FlyConstR, FlyConstL})
+CERTIFICATE_KINDS = frozenset({TestCert, IntroCert})
+METADATA_KINDS = frozenset({TestVID, TestFlyID})
+ADVICE_KINDS = frozenset({RequestSnapshot, Intro, Advice, TestAdvice, Verified,
+                          PathPlus, PathMinus})
 
 
 @dataclass
@@ -418,18 +431,23 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
     out = RoundOutput()
     _basic_checks(st, RejFlyover in by_type)
     _reject_flyover(st, out)
-    _r_test_flyover_construction(st, by_type, out)
-    _r_test_conn_certificate(st, by_type, out)
-    _r_test_flyover_metadata(st, by_type, out)
-    _test_flyover_construction(st, out)
+    if not CONSTRUCTION_KINDS.isdisjoint(by_type):
+        _r_test_flyover_construction(st, by_type, out)
+    if not CERTIFICATE_KINDS.isdisjoint(by_type):
+        _r_test_conn_certificate(st, by_type, out)
+    if not METADATA_KINDS.isdisjoint(by_type):
+        _r_test_flyover_metadata(st, by_type, out)
+    if st.dual:
+        _test_flyover_construction(st, out)
     _test_conn_certificate(st, out)
     _test_flyover_metadata(st, out, delivered)
     _basic_checks2(st)
-    _snapshot_req(st, by_type, out)
-    _get_advice(st, by_type, out)
-    _certify_tree(st, by_type, out)
-    _local_transform(st, by_type, out)
-    _join_path(st, by_type)
+    if not ADVICE_KINDS.isdisjoint(by_type):
+        _snapshot_req(st, by_type, out)
+        _get_advice(st, by_type, out)
+        _certify_tree(st, by_type, out)
+        _local_transform(st, by_type, out)
+        _join_path(st, by_type)
     _transfer_advised(st)
 
     base_msgs = list(by_type.get(Base, ())) + list(by_type.get(Rev, ()))
