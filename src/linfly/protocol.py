@@ -76,8 +76,7 @@ SORT_KEYS = {
     Base: attrgetter("payload"),
 }
 
-# The kinds each guarded step reads. Without one of them the step changes
-# neither the node nor the round's output, so node_round skips it.
+# The kinds each guarded step reads; without them it must change nothing.
 CONSTRUCTION_KINDS = frozenset({TestLineR, TestLineL, FlyConstR, FlyConstL})
 CERTIFICATE_KINDS = frozenset({TestCert, IntroCert})
 METADATA_KINDS = frozenset({TestVID, TestFlyID})

@@ -218,17 +218,13 @@ def _advice_pipeline(st, by_type, out):
     protocol._join_path(st, by_type)
 
 
-# the kind sets node_round guards these steps with
-PROTOCOL_KINDS = {
-    "_r_test_flyover_construction": protocol.CONSTRUCTION_KINDS,
-    "_r_test_conn_certificate": protocol.CERTIFICATE_KINDS,
-    "_r_test_flyover_metadata": protocol.METADATA_KINDS,
-    "advice pipeline": protocol.ADVICE_KINDS,
-}
-
-
 def test_node_round_guards_steps_with_the_kinds_they_read():
-    assert PROTOCOL_KINDS == GUARDED_KINDS
+    assert GUARDED_KINDS == {
+        "_r_test_flyover_construction": protocol.CONSTRUCTION_KINDS,
+        "_r_test_conn_certificate": protocol.CERTIFICATE_KINDS,
+        "_r_test_flyover_metadata": protocol.METADATA_KINDS,
+        "advice pipeline": protocol.ADVICE_KINDS,
+    }
 
 
 GUARDED_STEPS = {
