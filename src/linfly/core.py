@@ -331,6 +331,13 @@ class NodeState:
             out.add(self.flyid)
         return out
 
+    def registers(self) -> tuple:
+        """Snapshot of every field but id and channel: all that node_round
+        reads besides its deliveries, as one comparable value."""
+        return (tuple(self.L), tuple(self.R), self.vid, self.flyid, self.exit,
+                self.c_par, self.c_dist, frozenset(self.c_ids), self.t,
+                self.dist, frozenset(self.base_mem))
+
     def clone(self) -> "NodeState":
         return NodeState(
             id=self.id, L=list(self.L), R=list(self.R), vid=self.vid,
@@ -360,10 +367,18 @@ class NodeState:
 
 @dataclass
 class Configuration:
+    """Nodes, round counter, supervisor state and its inbox.
+
+    replay is the engine's cache of node-rounds that repeat a fixed point
+    (see engine.step_round); it is derived data, so clone() starts it
+    empty and dumps() leaves it out.
+    """
+
     nodes: dict[NodeId, NodeState]
     round_no: int = 0
     supervisor: Optional[object] = None
     sup_inbox: list = field(default_factory=list)
+    replay: dict = field(default_factory=dict, repr=False, compare=False)
 
     def ids(self) -> list[NodeId]:
         return sorted(self.nodes)

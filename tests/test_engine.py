@@ -1,5 +1,6 @@
 """Engine-level tests: topologies, fault injection, stepping, census, runs."""
 
+import dataclasses
 import io
 import json
 import random
@@ -22,6 +23,7 @@ from linfly.core import (
 )
 from linfly.engine import (
     CORRUPTIONS,
+    SUPERVISOR_MODES,
     _degree_high_water,
     RoundStats,
     Scenario,
@@ -192,6 +194,23 @@ def test_stepping_a_clone_leaves_the_original_alone(corruption):
     assert copy.dumps() != before
     assert cfg.dumps() == before
 
+    # the same once the original's replay table holds entries: the clone
+    # starts with an empty one and shares none of the stored rounds
+    for _ in range(40):
+        step_round(cfg)
+        if cfg.replay:
+            break
+    assert cfg.replay
+    before, table = cfg.dumps(), repr(sorted(cfg.replay.items()))
+    copy = cfg.clone()
+    assert copy.replay == {}
+    copy.nodes[min(copy.nodes)].exit = 1
+    for _ in range(8):
+        step_round(copy)
+    assert copy.dumps() != before
+    assert cfg.dumps() == before
+    assert repr(sorted(cfg.replay.items())) == table
+
 
 def test_step_keeps_weak_connectivity():
     cfg = inject_faults(_path_config(10), "all", 2)
@@ -212,6 +231,149 @@ def test_exit_spreads_through_flyover():
         if len(rejected) == 8:
             break
     assert rejected == set(range(8))
+
+
+# --- replay of quiescent node-rounds -----------------------------------------
+
+
+def _count_node_round(monkeypatch) -> list:
+    """Rebind engine.node_round to a counting wrapper; returns its counter."""
+    calls = [0]
+    real = engine.node_round
+
+    def counted(state, delivered):
+        calls[0] += 1
+        return real(state, delivered)
+
+    monkeypatch.setattr(engine, "node_round", counted)
+    return calls
+
+
+def _stats(stats: RoundStats) -> tuple:
+    return stats.messages, sorted(stats.rejected), stats.provenance_violations
+
+
+def _start(topology, supervisor, corruption, n=32, seed=3):
+    """The start configuration run() builds for this scenario."""
+    scenario = Scenario(n=n, topology=topology, supervisor=supervisor,
+                        corruption=corruption, seed=seed)
+    adj, _pair = make_topology(topology, n, random.Random(seed))
+    cfg = initial_configuration(adj)
+    cfg.supervisor = engine._scenario_supervisor(scenario, set(cfg.ids()))
+    return inject_faults(cfg, corruption, seed)
+
+
+@pytest.mark.parametrize("supervisor", SUPERVISOR_MODES)
+@pytest.mark.parametrize("topology", ["far_pair", "random_connected"])
+def test_replay_matches_recomputation_every_round(monkeypatch, topology,
+                                                  supervisor):
+    # a config that replays steps in lockstep with a clone whose replay
+    # table is emptied before each step, so it computes every node-round
+    calls = _count_node_round(monkeypatch)
+    rounds, n = 48, 32
+    for corruption in CORRUPTIONS:
+        cfg = _start(topology, supervisor, corruption, n)
+        ref = cfg.clone()
+        computed = 0
+        for r in range(rounds):
+            a, b = RoundStats(), RoundStats()
+            before = calls[0]
+            step_round(cfg, a)
+            computed += calls[0] - before
+            ref.replay.clear()
+            step_round(ref, b)
+            assert cfg.dumps() == ref.dumps(), (corruption, r)
+            assert cfg.sup_inbox == ref.sup_inbox, (corruption, r)
+            assert _stats(a) == _stats(b), (corruption, r)
+        if topology == "far_pair" and supervisor == "none":
+            assert computed < rounds * n, corruption
+
+
+def _replaying_flyover(monkeypatch, advice=None):
+    """seed_flyover(range(9)), a fixed point, stepped until every node's
+    round is in the replay table and then three rounds more, none of
+    which calls node_round. With advice, a stand-in supervisor hands node
+    4 that same message every round."""
+    cfg = seed_flyover(list(range(9)))
+    if advice is not None:
+        cfg.supervisor = "stand-in"
+        monkeypatch.setattr(engine, "honest_step",
+                            lambda sup, inbox, attentive: (sup, [(4, advice)]))
+    calls = _count_node_round(monkeypatch)
+    step_round(cfg)
+    step_round(cfg)
+    assert sorted(cfg.replay) == cfg.ids()
+    before = calls[0]
+    for _ in range(3):
+        step_round(cfg)
+    assert calls[0] == before
+    return cfg
+
+
+def _step_against_recomputation(cfg) -> RoundStats:
+    """Step cfg and a clone of it, which starts with an empty replay
+    table; both must reach the same configuration and statistics."""
+    ref = cfg.clone()
+    a, b = RoundStats(), RoundStats()
+    step_round(cfg, a)
+    step_round(ref, b)
+    assert cfg.dumps() == ref.dumps()
+    assert _stats(a) == _stats(b)
+    return a
+
+
+def test_replay_sees_a_stale_message_in_the_inbox(monkeypatch):
+    cfg = _replaying_flyover(monkeypatch)
+    cfg.nodes[4].channel.append(TestFlyID(5))
+    _step_against_recomputation(cfg)
+    assert cfg.nodes[4].exit == 1
+
+
+def test_replay_sees_a_changed_register(monkeypatch):
+    # criterion 07 plants an exit the same way
+    cfg = _replaying_flyover(monkeypatch)
+    cfg.nodes[4].exit = 1
+    stats = _step_against_recomputation(cfg)
+    assert 4 in stats.rejected
+
+
+def test_replay_sees_a_rebound_round_function(monkeypatch):
+    cfg = _replaying_flyover(monkeypatch, advice=Advice(2, 1, 1, 7, 1))
+    real = engine.node_round
+
+    def leaky_round(state, delivered):
+        # criterion 05's broken node, which trusts Advice.par blindly
+        for msg in delivered:
+            if isinstance(msg, Advice) and msg.par is not None:
+                state.base_mem.add(msg.par)
+        return real(state, delivered)
+
+    monkeypatch.setattr(engine, "node_round", leaky_round)
+    stats = _step_against_recomputation(cfg)
+    assert stats.provenance_violations > 0
+
+
+def _changed(value):
+    if isinstance(value, list):
+        return value + [99]
+    if isinstance(value, set):
+        return value | {99}
+    if isinstance(value, int):
+        return value + 1
+    pytest.fail(f"no way to change a {type(value).__name__} register")
+
+
+def test_every_register_is_in_the_replay_key():
+    # a register missing from registers() would let a changed node replay
+    st = NodeState(id=1, L=[0], R=[2, 3], vid=2, flyid=0, c_par=1, c_dist=1,
+                   c_ids={0, 2}, t=0, dist=1, base_mem={0, 2})
+    key = st.registers()
+    for f in dataclasses.fields(NodeState):
+        if f.name in ("id", "channel"):
+            continue
+        other = st.clone()
+        setattr(other, f.name, _changed(getattr(other, f.name)))
+        assert other.registers() != key, f.name
 
 
 # --- seeded structures ------------------------------------------------------
