@@ -41,7 +41,6 @@ class ExperimentSpec:
 
     scenarios: list = field(default_factory=list)
     reps: int = 1
-    out: Optional[str] = None
     trace: Optional[str] = None
 
 
@@ -192,13 +191,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     scenario = _namespace_scenario(parser, args)
-    spec = ExperimentSpec(scenarios=[scenario], reps=args.reps,
-                          out=args.out, trace=args.trace)
+    spec = ExperimentSpec(scenarios=[scenario], reps=args.reps, trace=args.trace)
     rows = run_experiments(spec)
-    if spec.out is None:
+    if args.out is None:
         write_csv(sys.stdout, rows)
     else:
-        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, rows)
     bad = any(row["connectivity_violations"] or row["sybil_violations"]
               for row in rows)

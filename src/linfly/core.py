@@ -18,18 +18,14 @@ NodeId = int
 
 # --- wire messages ---------------------------------------------------------
 # Frozen dataclasses; ids() lists every node id carried by the payload
-# (used for implicit edges and the id-provenance audit), key() gives the
-# canonical processing order within a round: class rank first, so
-# protocol.SORT_KEYS, which orders within one class, is key() without it.
+# (used for implicit edges and the id-provenance audit). The order in
+# which a node processes the messages of one class is protocol.SORT_KEYS.
 
 
 @dataclass(frozen=True, slots=True)
 class RejFlyover:
     def ids(self) -> tuple[NodeId, ...]:
         return ()
-
-    def key(self):
-        return (0,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,9 +35,6 @@ class TestLineR:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.sender,)
 
-    def key(self):
-        return (1, self.sender)
-
 
 @dataclass(frozen=True, slots=True)
 class TestLineL:
@@ -49,9 +42,6 @@ class TestLineL:
 
     def ids(self) -> tuple[NodeId, ...]:
         return (self.sender,)
-
-    def key(self):
-        return (2, self.sender)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +53,6 @@ class FlyConstR:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.w, self.sender)
 
-    def key(self):
-        return (3, self.level, self.sender, self.w)
-
 
 @dataclass(frozen=True, slots=True)
 class FlyConstL:
@@ -76,9 +63,6 @@ class FlyConstL:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.w, self.sender)
 
-    def key(self):
-        return (4, self.level, self.sender, self.w)
-
 
 @dataclass(frozen=True, slots=True)
 class TestVID:
@@ -87,9 +71,6 @@ class TestVID:
     def ids(self) -> tuple[NodeId, ...]:
         return ()
 
-    def key(self):
-        return (5, self.vid)
-
 
 @dataclass(frozen=True, slots=True)
 class TestFlyID:
@@ -97,9 +78,6 @@ class TestFlyID:
 
     def ids(self) -> tuple[NodeId, ...]:
         return () if self.flyid is None else (self.flyid,)
-
-    def key(self):
-        return (6, -1 if self.flyid is None else self.flyid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +89,6 @@ class TestCert:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.origin,)
 
-    def key(self):
-        return (7, self.target_vid, self.dist, self.origin)
-
 
 @dataclass(frozen=True, slots=True)
 class IntroCert:
@@ -122,17 +97,11 @@ class IntroCert:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.sender,)
 
-    def key(self):
-        return (8, self.sender)
-
 
 @dataclass(frozen=True, slots=True)
 class RequestSnapshot:
     def ids(self) -> tuple[NodeId, ...]:
         return ()
-
-    def key(self):
-        return (9,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +111,6 @@ class Intro:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.id,)
 
-    def key(self):
-        return (10, self.id)
-
 
 @dataclass(frozen=True, slots=True)
 class Neighborhood:
@@ -152,9 +118,6 @@ class Neighborhood:
 
     def ids(self) -> tuple[NodeId, ...]:
         return self.members
-
-    def key(self):
-        return (11,) + self.members
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,10 +131,6 @@ class Advice:
     def ids(self) -> tuple[NodeId, ...]:
         return () if self.par is None else (self.par,)
 
-    def key(self):
-        return (12, self.vid, self.c_par, self.c_dist,
-                -1 if self.par is None else self.par, self.dist)
-
 
 @dataclass(frozen=True, slots=True)
 class TestAdvice:
@@ -180,9 +139,6 @@ class TestAdvice:
 
     def ids(self) -> tuple[NodeId, ...]:
         return (self.sender,)
-
-    def key(self):
-        return (13, self.sender, self.dist)
 
 
 VERIFIED_KINDS = ("parent", "sib+", "sib-", "child")
@@ -196,9 +152,6 @@ class Verified:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.id,)
 
-    def key(self):
-        return (14, VERIFIED_KINDS.index(self.kind), self.id)
-
 
 @dataclass(frozen=True, slots=True)
 class PathPlus:
@@ -207,9 +160,6 @@ class PathPlus:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.id,)
 
-    def key(self):
-        return (15, self.id)
-
 
 @dataclass(frozen=True, slots=True)
 class PathMinus:
@@ -217,9 +167,6 @@ class PathMinus:
 
     def ids(self) -> tuple[NodeId, ...]:
         return (self.id,)
-
-    def key(self):
-        return (16, self.id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,9 +177,6 @@ class Rev:
     def ids(self) -> tuple[NodeId, ...]:
         return (self.dest,) + self.payload
 
-    def key(self):
-        return (17, self.dest) + self.payload
-
 
 @dataclass(frozen=True, slots=True)
 class Base:
@@ -240,9 +184,6 @@ class Base:
 
     def ids(self) -> tuple[NodeId, ...]:
         return self.payload
-
-    def key(self):
-        return (18,) + self.payload
 
 
 Message = (
@@ -430,24 +371,6 @@ def implicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
 def explicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
     """Directed edges (u, v) with v stored in an address variable of u."""
     return {(u, v) for u, vs in explicit_out(config).items() for v in vs}
-
-
-def implicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
-    """Directed edges (u, v) with v carried by a message in u's channel."""
-    return {(u, v) for u, vs in implicit_out(config).items() for v in vs}
-
-
-def extract_graph(config: Configuration) -> dict[tuple[NodeId, NodeId], str]:
-    """Directed edges keyed (u, v), each labelled explicit or implicit.
-
-    An edge is explicit when v sits in one of u's address variables and
-    implicit when v is only carried by a message waiting in u's channel;
-    explicit wins when both hold.
-    """
-    edges = {e: "implicit" for e in implicit_edges(config)}
-    for e in explicit_edges(config):
-        edges[e] = "explicit"
-    return edges
 
 
 def undirected(*outs: dict[NodeId, set[NodeId]]) -> dict[NodeId, set[NodeId]]:

@@ -19,7 +19,6 @@ Unassisted runs spend most node-rounds in such fixed points.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from .core import (
 )
 from .protocol import node_round as _protocol_node_round
 from .supervisor import STRATEGIES, honest_step, make_supervisor
+from .ttp import decode_pruefer
 
 TOPOLOGIES = ("path", "star", "two_clusters", "random_connected", "far_pair")
 
@@ -147,35 +147,14 @@ def two_clusters_topology(n: int) -> dict[NodeId, set[NodeId]]:
     return adj
 
 
-def _pruefer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    # decoding a uniform random sequence yields a uniform labelled tree
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [u for u in range(n) if degree[u] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
-
-
 def random_connected_topology(n: int, rng: random.Random) -> dict[NodeId, set[NodeId]]:
     """Uniform random spanning tree plus n/2 extra random edges."""
     adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    if n == 2:
-        adj[0].add(1)
-        adj[1].add(0)
-    elif n >= 3:
-        for u, v in _pruefer_tree(n, rng):
-            adj[u].add(v)
-            adj[v].add(u)
+    if n >= 2:
+        # decoding a uniform random sequence yields a uniform labelled tree
+        tree = decode_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+        for u, vs in enumerate(tree):
+            adj[u].update(vs)
     for _ in range(n // 2):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -533,14 +512,15 @@ def classify_structures(config: Configuration) -> StructureCensus:
 # --- legality and distance checks -------------------------------------------
 
 
-def is_legal(config: Configuration, c_extra: int = 2) -> bool:
+def is_legal(config: Configuration) -> bool:
     """Target shape reached: each sorted-consecutive pair is explicitly
     linked in at least one direction and every explicit out-degree stays
-    within an additive O(log n) slack of its target degree."""
-    return _legal(explicit_out(config), c_extra)
+    within an additive slack of 2 * (bit_length(n - 1) + 1) of its
+    target degree."""
+    return _legal(explicit_out(config))
 
 
-def _legal(out: dict[NodeId, set[NodeId]], c_extra: int = 2) -> bool:
+def _legal(out: dict[NodeId, set[NodeId]]) -> bool:
     ids = sorted(out)
     n = len(ids)
     if n <= 1:
@@ -548,7 +528,7 @@ def _legal(out: dict[NodeId, set[NodeId]], c_extra: int = 2) -> bool:
     for a, b in zip(ids, ids[1:]):
         if b not in out[a] and a not in out[b]:
             return False
-    slack = c_extra * ((n - 1).bit_length() + 1)
+    slack = 2 * ((n - 1).bit_length() + 1)
     for i, u in enumerate(ids):
         target = 1 if i in (0, n - 1) else 2
         if len(out[u]) > target + slack:

@@ -52,9 +52,9 @@ from .core import (
 
 Send = tuple[NodeId, Message]
 
-# Processing order within one message class: each class's key() without
-# its class rank. Handlers read one class at a time, so only the order
-# inside a class matters; classes without fields need no sort.
+# The order in which a node processes the messages of one class, the only
+# place it is defined. Handlers read one class at a time, so no order
+# between classes is needed; classes without fields need no sort.
 SORT_KEYS = {
     TestLineR: attrgetter("sender"),
     TestLineL: attrgetter("sender"),

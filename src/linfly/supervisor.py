@@ -45,6 +45,8 @@ def make_supervisor(membership, mode: str = "honest",
         raise ValueError(f"unknown supervisor mode {mode!r}")
     if mode == "malicious" and strategy is None:
         raise ValueError("malicious mode needs a strategy")
+    if mode == "honest" and strategy is not None:
+        raise ValueError("honest mode takes no strategy")
     return SupervisorState(membership=set(membership), mode=mode,
                            strategy=strategy)
 
@@ -188,13 +190,10 @@ _STRATEGY_FNS = {
 
 
 def malicious_step(strategy: str, membership: set[NodeId],
-                   snapshot: Optional[dict[NodeId, set[NodeId]]] = None,
-                   ) -> dict[NodeId, Advice]:
+                   snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
     """Advice payloads for one adversarial strategy at the advising moment."""
     if strategy not in _STRATEGY_FNS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if snapshot is None:
-        snapshot = {u: set() for u in membership}
     return _STRATEGY_FNS[strategy](snapshot, membership)
 
 

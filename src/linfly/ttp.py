@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 NodeId = int
 
@@ -138,8 +138,9 @@ def oracle_is_valid_output(tree: LabelledRootedTree, path: list[NodeId]) -> bool
     return path[0] == croot[-1] and path[-1] == tree.root
 
 
-def _decode_pruefer(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    """Decode a Pruefer sequence into an adjacency list on vertices 0..n-1."""
+def decode_pruefer(seq: Sequence[int], n: int) -> list[list[int]]:
+    """Decode a Pruefer sequence of length n - 2 (n >= 2) into an adjacency
+    list on vertices 0..n-1; each step joins the smallest remaining leaf."""
     adj: list[list[int]] = [[] for _ in range(n)]
     deg = [1] * n
     for a in seq:
@@ -191,7 +192,7 @@ def enumerate_labelled_trees(max_n: int) -> Iterator[LabelledRootedTree]:
         raise ValueError("refusing to enumerate beyond 9 vertices")
     for n in range(2, max_n + 1):
         for seq in product(range(n), repeat=n - 2):
-            adj = _decode_pruefer(seq, n)
+            adj = decode_pruefer(seq, n)
             for root in range(n):
                 parent, depth = _orient(adj, root)
                 yield LabelledRootedTree(root, parent, {v: d & 1 for v, d in depth.items()})

@@ -1,6 +1,7 @@
 """Command line interface tests: parsing, batching, CSV output, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -140,6 +141,16 @@ def test_main_output_is_byte_identical(tmp_path):
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 5
+
+
+def test_main_out_writes_the_file_not_stdout(tmp_path, capsys):
+    # --out is main's business: the batch spec carries no output path
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
+        "scenarios", "reps", "trace"]
+    out = tmp_path / "one.csv"
+    assert main(["--n", "8", "--topology", "star", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().splitlines()[0] == ",".join(COLUMNS)
 
 
 def test_main_ten_seed_sweep(tmp_path):

@@ -1,4 +1,4 @@
-"""State containers, message payloads, and graph extraction."""
+"""State containers, message payloads, and the communication graph."""
 
 from linfly.core import (
     Advice,
@@ -10,8 +10,8 @@ from linfly.core import (
     TestFlyID,
     communication_graph,
     explicit_edges,
-    extract_graph,
-    implicit_edges,
+    explicit_out,
+    implicit_out,
     initial_configuration,
     is_weakly_connected,
 )
@@ -91,42 +91,21 @@ def test_message_id_payloads():
     assert Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0).ids() == ()
 
 
-def test_extract_graph_explicit():
-    a = NodeState(id=1)
-    a.base_mem = {2}
-    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
-    assert extract_graph(cfg) == {(1, 2): "explicit"}
-
-
-def test_extract_graph_implicit():
-    a = NodeState(id=1)
-    a.channel = [Intro(id=2)]
-    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
-    assert extract_graph(cfg) == {(1, 2): "implicit"}
-
-
-def test_extract_graph_explicit_wins():
-    a = NodeState(id=1)
-    a.base_mem = {2}
-    a.channel = [Intro(id=2)]
-    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
-    assert extract_graph(cfg) == {(1, 2): "explicit"}
-
-
-def test_extract_graph_no_self_loop():
-    st = NodeState(id=3)
-    st.flyid = 3
-    assert extract_graph(Configuration(nodes={3: st})) == {}
-
-
 def test_edge_sets():
-    a = NodeState(id=1, L=[2])
-    a.channel = [Base(payload=(3,))]
-    cfg = Configuration(nodes={1: a, 2: NodeState(id=2), 3: NodeState(id=3)})
-    assert explicit_edges(cfg) == {(1, 2)}
-    assert implicit_edges(cfg) == {(1, 3)}
+    # node 1 stores 2 and 4 and carries 3 and 4; its own id (stored, carried
+    # and as its default flyid) and the absent 9 appear in neither map
+    a = NodeState(id=1, L=[2, 1], R=[9])
+    a.base_mem = {1, 4}
+    a.c_ids = {1}
+    a.channel = [Base(payload=(3, 4, 1, 9)), Intro(id=1)]
+    c = NodeState(id=3)
+    c.flyid = 1
+    cfg = Configuration(nodes={1: a, 2: NodeState(id=2), 3: c, 4: NodeState(id=4)})
+    assert explicit_out(cfg) == {1: {2, 4}, 2: set(), 3: {1}, 4: set()}
+    assert implicit_out(cfg) == {1: {3, 4}, 2: set(), 3: set(), 4: set()}
+    assert explicit_edges(cfg) == {(1, 2), (1, 4), (3, 1)}
     adj = communication_graph(cfg)
-    assert adj[2] == {1} and adj[3] == {1}
+    assert adj == {1: {2, 3, 4}, 2: {1}, 3: {1}, 4: {1}}
 
 
 def test_weak_connectivity_on_configs():

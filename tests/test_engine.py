@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,16 @@ def test_random_connected_is_connected_and_deterministic():
     assert is_weakly_connected({u: set(vs) for u, vs in adj1.items()})
     adj3, _ = make_topology("random_connected", 20, random.Random(6))
     assert adj3 != adj1
+
+
+def test_random_connected_small_sizes():
+    for seed in range(10):
+        adj1, _ = make_topology("random_connected", 1, random.Random(seed))
+        adj2, _ = make_topology("random_connected", 2, random.Random(seed))
+        adj3, _ = make_topology("random_connected", 3, random.Random(seed))
+        assert adj1 == {0: set()}
+        assert adj2 == {0: {1}, 1: {0}}
+        assert set(adj3) == {0, 1, 2} and is_weakly_connected(adj3)
 
 
 @pytest.mark.parametrize("n,pair,dist", [(16, (7, 8), 11), (32, (15, 16), 19), (64, (31, 32), 35)])
@@ -388,7 +399,7 @@ def test_seeded_flyover_is_a_fixed_point():
     stats = RoundStats()
     step_round(cfg, stats)
     assert not stats.rejected
-    chan1 = {u: sorted(m.key() for m in st.channel) for u, st in cfg.nodes.items()}
+    chan1 = {u: Counter(st.channel) for u, st in cfg.nodes.items()}
     for _ in range(4):
         stats = RoundStats()
         step_round(cfg, stats)
@@ -397,7 +408,7 @@ def test_seeded_flyover_is_a_fixed_point():
             u: (st.L[:], st.R[:], st.vid, st.c_par, st.c_dist, sorted(st.c_ids))
             for u, st in cfg.nodes.items()
         }
-        chan = {u: sorted(m.key() for m in st.channel) for u, st in cfg.nodes.items()}
+        chan = {u: Counter(st.channel) for u, st in cfg.nodes.items()}
         assert regs == regs0
         assert chan == chan1
 
@@ -502,9 +513,14 @@ def test_legal_fails_on_missing_pair():
 
 
 def test_legal_allows_full_flyover_within_slack():
-    cfg = seed_flyover(list(range(16)))
-    assert is_legal(cfg, c_extra=2)
-    assert not is_legal(cfg, c_extra=0)
+    assert is_legal(seed_flyover(list(range(16))))
+    # endpoint 0 of a 16-node path has target degree 1 and slack
+    # 2 * (bit_length(15) + 1) = 10: 11 stored ids pass, 15 do not
+    cfg = _path_config(16)
+    cfg.nodes[0].base_mem = set(range(1, 12))
+    assert is_legal(cfg)
+    cfg.nodes[0].base_mem = set(range(1, 16))
+    assert not is_legal(cfg)
 
 
 def test_legal_trivial_sizes():

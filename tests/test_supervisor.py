@@ -75,6 +75,8 @@ def test_make_supervisor_validates():
         make_supervisor({1, 2}, "weird")
     with pytest.raises(ValueError):
         make_supervisor({1, 2}, "malicious")
+    with pytest.raises(ValueError):
+        make_supervisor({1, 2}, "honest", "split")
 
 
 # --- phase machine ----------------------------------------------------------
@@ -187,6 +189,11 @@ def test_stale_uses_a_perturbed_snapshot():
 def test_unknown_strategy_raises():
     with pytest.raises(ValueError):
         malicious_step("nope", {1, 2}, None)
+
+
+def test_malicious_step_needs_a_snapshot():
+    with pytest.raises(TypeError):
+        malicious_step("sybil", {1, 2})
 
 
 def test_all_strategies_emit_advice_objects():

@@ -1,9 +1,13 @@
-"""Tree labelling, the tree-to-path transformation, and its oracle."""
+"""Pruefer decoding, tree labelling, the tree-to-path transformation, and
+its oracle."""
+
+from itertools import product
 
 import pytest
 
 from linfly.ttp import (
     LabelledRootedTree,
+    decode_pruefer,
     enumerate_labelled_trees,
     label_tree,
     oracle_is_valid_output,
@@ -119,3 +123,33 @@ def test_enumeration_caps_at_nine():
 def test_exhaustive_up_to_five():
     # instances: 4 + 18 + 128 + 1250; the full <= 8 sweep runs in acceptance
     assert verify_all_trees(5) == 1400
+
+
+# --- Pruefer decoding --------------------------------------------------------
+
+
+def _pruefer_encode(adj: list[list[int]]) -> tuple[int, ...]:
+    """Pruefer sequence of a tree: strip the smallest leaf n - 2 times,
+    recording its neighbour each time."""
+    nbrs = [set(vs) for vs in adj]
+    seq = []
+    for _ in range(len(adj) - 2):
+        leaf = min(v for v, vs in enumerate(nbrs) if len(vs) == 1)
+        (p,) = nbrs[leaf]
+        seq.append(p)
+        nbrs[p].discard(leaf)
+        nbrs[leaf].clear()
+    return tuple(seq)
+
+
+def test_decode_pruefer_inverts_the_encoding():
+    count = 0
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            adj = decode_pruefer(seq, n)
+            edges = {(min(u, v), max(u, v)) for u, vs in enumerate(adj) for v in vs}
+            assert len(edges) == n - 1 and all(u != v for u, v in edges)
+            assert sum(map(len, adj)) == 2 * (n - 1)
+            assert _pruefer_encode(adj) == seq
+            count += 1
+    assert count == 18248
