@@ -91,6 +91,48 @@ def test_message_id_payloads():
     assert Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0).ids() == ()
 
 
+def test_extract_graph_explicit():
+    # a stored id is an explicit edge and nothing else
+    a = NodeState(id=1)
+    a.base_mem = {2}
+    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
+    assert explicit_out(cfg) == {1: {2}, 2: set()}
+    assert implicit_out(cfg) == {1: set(), 2: set()}
+
+
+def test_extract_graph_implicit():
+    # a carried id is an implicit edge and nothing else
+    a = NodeState(id=1)
+    a.channel = [Intro(id=2)]
+    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
+    assert explicit_out(cfg) == {1: set(), 2: set()}
+    assert implicit_out(cfg) == {1: {2}, 2: set()}
+
+
+def test_extract_graph_explicit_wins():
+    # an id both stored and carried is an edge of both kinds, and the
+    # communication graph holds it once
+    a = NodeState(id=1)
+    a.base_mem = {2}
+    a.channel = [Intro(id=2)]
+    cfg = Configuration(nodes={1: a, 2: NodeState(id=2)})
+    assert explicit_out(cfg) == {1: {2}, 2: set()}
+    assert implicit_out(cfg) == {1: {2}, 2: set()}
+    assert communication_graph(cfg) == {1: {2}, 2: {1}}
+
+
+def test_extract_graph_no_self_loop():
+    # the own id, own flyid included, is an edge of neither kind
+    st = NodeState(id=3)
+    st.flyid = 3
+    st.base_mem = {3}
+    st.channel = [Intro(id=3)]
+    cfg = Configuration(nodes={3: st})
+    assert explicit_out(cfg) == {3: set()}
+    assert implicit_out(cfg) == {3: set()}
+    assert communication_graph(cfg) == {3: set()}
+
+
 def test_edge_sets():
     # node 1 stores 2 and 4 and carries 3 and 4; its own id (stored, carried
     # and as its default flyid) and the absent 9 appear in neither map
