@@ -9,15 +9,7 @@ configuration is legal and stable.
 
 import argparse
 
-from linfly.core import initial_configuration
-from linfly.engine import (
-    RoundStats,
-    classify_structures,
-    is_legal,
-    make_topology,
-    step_round,
-)
-from linfly.supervisor import make_supervisor
+from linfly.engine import Scenario, classify_structures, is_legal, start, step_round
 
 
 def describe(cfg):
@@ -43,15 +35,13 @@ def main():
     parser.add_argument("--topology", default="star")
     args = parser.parse_args()
 
-    adj, _ = make_topology(args.topology, args.n)
-    cfg = initial_configuration(adj)
-    cfg.supervisor = make_supervisor(set(cfg.ids()), "honest")
+    cfg, _pair = start(Scenario(n=args.n, topology=args.topology,
+                                supervisor="honest"))
     print(f"{args.topology} on {args.n} nodes, honest supervisor\n")
 
     settled = 0
     for r in range(1, 12 * args.n + 41):
-        stats = RoundStats()
-        step_round(cfg, stats)
+        stats = step_round(cfg)
         legal = is_legal(cfg)
         print(f"round {r:3d}  msgs {stats.messages:4d}  "
               f"{'legal  ' if legal else 'illegal'}  {describe(cfg)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .engine import CORRUPTIONS, SUPERVISOR_MODES, TOPOLOGIES, Scenario, run
@@ -54,28 +54,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _supervisor_token(text: str) -> str:
-    token = text.replace("_", "-")
-    if token not in SUPERVISOR_CHOICES:
-        raise argparse.ArgumentTypeError(
-            f"unknown supervisor {text!r} (choose from {', '.join(SUPERVISOR_CHOICES)})")
-    return token
+def _choice(kind: str, choices: Sequence[str]):
+    """Argument type for a name flag: accepts - or _ between words and
+    returns the spelling used in choices."""
+    spelling = {c.replace("-", "_"): c for c in choices}
 
+    def parse(text: str) -> str:
+        token = spelling.get(text.replace("-", "_"))
+        if token is None:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {text!r} (choose from {', '.join(choices)})")
+        return token
 
-def _topology_token(text: str) -> str:
-    token = text.replace("-", "_")
-    if token not in TOPOLOGIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown topology {text!r} (choose from {', '.join(TOPOLOGIES)})")
-    return token
-
-
-def _corruption_token(text: str) -> str:
-    token = text.replace("-", "_")
-    if token not in CORRUPTIONS:
-        raise argparse.ArgumentTypeError(
-            f"unknown corruption {text!r} (choose from {', '.join(CORRUPTIONS)})")
-    return token
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,11 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=_positive_int, required=True,
                         help="number of nodes (>= 1; far_pair needs >= 4)")
-    parser.add_argument("--topology", type=_topology_token,
+    parser.add_argument("--topology", type=_choice("topology", TOPOLOGIES),
                         default="random_connected",
                         help="start topology: %s (default: random_connected)"
                              % ", ".join(TOPOLOGIES))
-    parser.add_argument("--supervisor", type=_supervisor_token, default="honest",
+    parser.add_argument("--supervisor", type=_choice("supervisor", SUPERVISOR_CHOICES),
+                        default="honest",
                         help="supervisor mode: %s (default: honest)"
                              % ", ".join(SUPERVISOR_CHOICES))
     parser.add_argument("--seed", type=int, default=0,
@@ -98,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="runs per scenario on consecutive seeds (default: 1)")
     parser.add_argument("--max-rounds", type=_positive_int, default=None,
                         help="round budget per run (default: 12*n+40)")
-    parser.add_argument("--corruption", type=_corruption_token, default="none",
+    parser.add_argument("--corruption", type=_choice("corruption", CORRUPTIONS),
+                        default="none",
                         help="initial-state fault model: %s (default: none)"
                              % ", ".join(CORRUPTIONS))
     parser.add_argument("--out", default=None,
@@ -161,14 +154,7 @@ def run_experiments(spec: ExperimentSpec) -> list[dict]:
     try:
         for scenario in spec.scenarios:
             for k in range(spec.reps):
-                seeded = Scenario(
-                    n=scenario.n,
-                    topology=scenario.topology,
-                    supervisor=scenario.supervisor,
-                    corruption=scenario.corruption,
-                    seed=scenario.seed + k,
-                    max_rounds=scenario.max_rounds,
-                )
+                seeded = replace(scenario, seed=scenario.seed + k)
                 if tracer is not None:
                     tracer.write('{"run": {"seed": %d, "n": %d}}\n'
                                  % (seeded.seed, seeded.n))

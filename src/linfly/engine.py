@@ -7,9 +7,10 @@ takes a census of linked structures, and decides when a configuration is
 legal, meaning every sorted-consecutive pair shares an explicit edge and
 no node hoards addresses far beyond its target degree.
 
-`run` drives one scenario end to end and collects metrics. It stops at
-the first legal round; the checks it performs every round (connectivity,
-degree, designated-pair distance, provenance) feed the metrics object.
+`start` builds a scenario's start configuration and `run` drives it end
+to end, collecting metrics. It stops at the first legal round; the checks
+it performs every round (connectivity, degree, designated-pair distance,
+provenance) feed the metrics object.
 
 A node that repeats a fixed point (same registers, same deliveries) is
 not recomputed: `step_round` replays its stored output and audit
@@ -82,7 +83,7 @@ class Scenario:
 
 @dataclass
 class RoundStats:
-    """Per-round observables filled in by step_round."""
+    """Per-round observables returned by step_round."""
 
     messages: int = 0
     rejected: set[NodeId] = field(default_factory=set)
@@ -265,9 +266,9 @@ def inject_faults(config: Configuration, corruption: str = "none",
 # --- one synchronous round --------------------------------------------------
 
 
-def step_round(config: Configuration, stats: Optional[RoundStats] = None,
-               ) -> Configuration:
-    """Advance every node by one round, in place.
+def step_round(config: Configuration) -> RoundStats:
+    """Advance every node by one round, in place, and return the round's
+    statistics.
 
     The supervisor is stepped first and its messages are appended to this
     round's deliveries, so a reaction to node reports reaches the nodes
@@ -369,11 +370,8 @@ def step_round(config: Configuration, stats: Optional[RoundStats] = None,
         st.channel = pending[u]
     config.sup_inbox = to_sup
     config.round_no += 1
-    if stats is not None:
-        stats.messages = n_messages
-        stats.rejected = rejected
-        stats.provenance_violations = violations
-    return config
+    return RoundStats(messages=n_messages, rejected=rejected,
+                      provenance_violations=violations)
 
 
 # --- structure census -------------------------------------------------------
@@ -542,8 +540,8 @@ def distance_floor_check(result: RunResult) -> bool:
     dists = result.pair_distances
     if not dists:
         return True
-    start = dists[0]
-    return all(d >= start / (1 << t) for t, d in enumerate(dists))
+    first = dists[0]
+    return all(d >= first / (1 << t) for t, d in enumerate(dists))
 
 
 # --- seeded structures ------------------------------------------------------
@@ -614,15 +612,23 @@ def default_max_rounds(n: int) -> int:
     return 12 * n + 40
 
 
-def _scenario_supervisor(scenario: Scenario, membership) :
-    token = scenario.supervisor.replace("-", "_")
-    if token == "none":
-        return None
-    if token == "honest":
-        return make_supervisor(membership, "honest")
-    if token in STRATEGIES:
-        return make_supervisor(membership, "malicious", token)
-    raise ValueError(f"unknown supervisor {scenario.supervisor!r}")
+def start(scenario: Scenario,
+          ) -> tuple[Configuration, Optional[tuple[NodeId, NodeId]]]:
+    """The scenario's start configuration and designated pair: the seeded
+    topology, the supervisor its mode names (with - or _), then the
+    injected faults."""
+    adjacency, pair = make_topology(scenario.topology, scenario.n,
+                                    random.Random(scenario.seed))
+    config = initial_configuration(adjacency)
+    mode = scenario.supervisor.replace("-", "_")
+    if mode == "honest":
+        config.supervisor = make_supervisor(set(config.ids()), "honest")
+    elif mode in STRATEGIES:
+        config.supervisor = make_supervisor(set(config.ids()), "malicious", mode)
+    elif mode != "none":
+        raise ValueError(f"unknown supervisor {scenario.supervisor!r}")
+    inject_faults(config, scenario.corruption, scenario.seed)
+    return config, pair
 
 
 def _degree_high_water(config: Configuration) -> int:
@@ -680,13 +686,7 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
     line per round; it is not closed, so callers can interleave several
     runs into one trace file.
     """
-    if scenario.corruption not in CORRUPTIONS:
-        raise ValueError(f"unknown corruption {scenario.corruption!r}")
-    rng = random.Random(scenario.seed)
-    adjacency, pair = make_topology(scenario.topology, scenario.n, rng)
-    config = initial_configuration(adjacency)
-    config.supervisor = _scenario_supervisor(scenario, set(config.ids()))
-    inject_faults(config, scenario.corruption, scenario.seed)
+    config, pair = start(scenario)
     max_rounds = scenario.max_rounds
     if max_rounds is None:
         max_rounds = default_max_rounds(scenario.n)
@@ -714,8 +714,7 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
 
     r = 0
     while not legal and r < max_rounds:
-        stats = RoundStats()
-        step_round(config, stats)
+        stats = step_round(config)
         r += 1
         metrics.messages_per_round.append(stats.messages)
         metrics.sybil_violations += stats.provenance_violations

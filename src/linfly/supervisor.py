@@ -23,14 +23,11 @@ from .core import (
 )
 from .ttp import label_tree, tree_to_path
 
-STRATEGIES = ("split", "sybil", "wrong_vids", "cycle", "partial", "stale")
-
 
 @dataclass
 class SupervisorState:
     membership: set[NodeId]
-    mode: str = "honest"  # honest | malicious
-    strategy: Optional[str] = None
+    strategy: Optional[str] = None  # None: honest
     phase: str = "idle"  # idle | waiting | collecting
     collected: dict[NodeId, frozenset] = field(default_factory=dict)
     advice_rounds: list[int] = field(default_factory=list)
@@ -47,8 +44,7 @@ def make_supervisor(membership, mode: str = "honest",
         raise ValueError("malicious mode needs a strategy")
     if mode == "honest" and strategy is not None:
         raise ValueError("honest mode takes no strategy")
-    return SupervisorState(membership=set(membership), mode=mode,
-                           strategy=strategy)
+    return SupervisorState(membership=set(membership), strategy=strategy)
 
 
 def snapshot_graph(collected: dict[NodeId, frozenset],
@@ -188,6 +184,8 @@ _STRATEGY_FNS = {
     "stale": _strategy_stale,
 }
 
+STRATEGIES = tuple(_STRATEGY_FNS)
+
 
 def malicious_step(strategy: str, membership: set[NodeId],
                    snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
@@ -214,7 +212,7 @@ def honest_step(state: SupervisorState,
         snap = snapshot_graph(state.collected, state.membership)
         if (set(state.collected) == state.membership
                 and len(bfs_distances(snap, min(snap))) == len(snap)):
-            if state.mode == "honest":
+            if state.strategy is None:
                 advice = compute_advice(snap, _advice_root(snap))
             else:
                 advice = malicious_step(state.strategy, state.membership, snap)

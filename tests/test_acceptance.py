@@ -6,34 +6,25 @@ and prints the measured numbers so a log shows the actual margins.
 
 import itertools
 import math
-import random
 
-from linfly.core import (
-    bfs_distances,
-    communication_graph,
-    initial_configuration,
-)
+from linfly.core import bfs_distances, communication_graph
 import linfly.engine as engine_mod
 from linfly.engine import (
-    RoundStats,
+    CORRUPTIONS,
+    SUPERVISOR_MODES,
+    TOPOLOGIES,
     Scenario,
     classify_structures,
-    inject_faults,
     is_legal,
-    make_topology,
     run,
     seed_backbone,
     seed_flyover,
+    start,
     step_round,
 )
 from linfly.protocol import Advice, next_stop
+from linfly.supervisor import STRATEGIES
 from linfly.ttp import verify_all_trees
-
-TOPOLOGIES = ("path", "star", "two_clusters", "random_connected", "far_pair")
-ALL_MODES = ("honest", "none", "split", "sybil", "wrong-vids", "cycle",
-             "partial", "stale")
-MALICIOUS = ("split", "sybil", "wrong-vids", "cycle", "partial", "stale")
-CORRUPTIONS = ("none", "garbage_flyover_vars", "stale_channel_messages", "all")
 
 
 def _log2ceil(n):
@@ -52,7 +43,7 @@ def test_criterion_02_connectivity_across_all_scenarios():
     runs = 0
     bad = 0
     for topology, mode, corruption, n in itertools.product(
-            TOPOLOGIES, ALL_MODES, CORRUPTIONS, (2, 8, 32, 64)):
+            TOPOLOGIES, SUPERVISOR_MODES, CORRUPTIONS, (2, 8, 32, 64)):
         if topology == "far_pair" and n < 4:
             n = 4
         res = run(Scenario(n=n, topology=topology, supervisor=mode,
@@ -91,14 +82,11 @@ def test_criterion_03_honest_convergence_is_logarithmic():
 
 def test_criterion_04_malicious_advice_rejected_in_time():
     worst_lag = 0
-    for strategy, n in itertools.product(MALICIOUS, (8, 32, 128)):
+    for strategy, n in itertools.product(STRATEGIES, (8, 32, 128)):
         deadline = 16 * _log2ceil(n)
         cap = 8 * n + deadline
         for seed in range(20):
-            adj, _ = make_topology("random_connected", n, random.Random(seed))
-            cfg = initial_configuration(adj)
-            cfg.supervisor = engine_mod._scenario_supervisor(
-                Scenario(n=n, supervisor=strategy, seed=seed), set(cfg.ids()))
+            cfg, _pair = start(Scenario(n=n, supervisor=strategy, seed=seed))
             became = {}
             rejected_at = {}
             legal_at = None
@@ -107,8 +95,7 @@ def test_criterion_04_malicious_advice_rejected_in_time():
                 if is_legal(cfg):
                     legal_at = r
                     break
-                stats = RoundStats()
-                step_round(cfg, stats)
+                stats = step_round(cfg)
                 r += 1
                 for u, node in cfg.nodes.items():
                     if node.dual and u not in became:
@@ -129,7 +116,7 @@ def test_criterion_04_malicious_advice_rejected_in_time():
 
 
 def test_criterion_05_provenance_clean_and_control_dirty(monkeypatch):
-    for mode, n in itertools.product(ALL_MODES, (8, 32)):
+    for mode, n in itertools.product(SUPERVISOR_MODES, (8, 32)):
         for seed in range(3):
             res = run(Scenario(n=n, topology="random_connected",
                                supervisor=mode, corruption="all", seed=seed))
@@ -177,9 +164,7 @@ def test_criterion_07_exit_propagates_fast():
             rejected = set()
             r = 0
             while len(rejected) < m:
-                stats = RoundStats()
-                step_round(cfg, stats)
-                rejected |= stats.rejected
+                rejected |= step_round(cfg).rejected
                 r += 1
                 assert r <= bound, (m, where, len(rejected))
             worst[m] = max(worst.get(m, 0), r)
@@ -189,7 +174,7 @@ def test_criterion_07_exit_propagates_fast():
 
 def test_criterion_08_far_pair_distance_floor():
     expected_d = {16: 11, 32: 19, 64: 35}
-    for n, mode in itertools.product((16, 32, 64), ALL_MODES):
+    for n, mode in itertools.product((16, 32, 64), SUPERVISOR_MODES):
         for seed in range(2):
             res = run(Scenario(n=n, topology="far_pair", supervisor=mode,
                                seed=seed))
@@ -285,9 +270,7 @@ def test_criterion_10_base_algorithm_envelope():
             res = run(sc)
             legal = res.metrics.rounds_to_legal
             assert legal is not None and legal <= 8 * n, (n, seed)
-            adj, _ = make_topology(sc.topology, n, random.Random(seed))
-            start = initial_configuration(adj)
-            graph = communication_graph(start)
+            graph = communication_graph(start(sc)[0])
             gap = max(bfs_distances(graph, u)[u + 1] for u in range(n - 1))
             if gap > 1:
                 assert legal >= _log2ceil(gap), (n, seed)

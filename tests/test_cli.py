@@ -46,6 +46,21 @@ def test_parse_accepts_underscore_supervisor():
     assert a.supervisor == b.supervisor == "wrong-vids"
 
 
+def test_parse_accepts_hyphenated_topology_and_corruption():
+    sc = parse_scenario(["--n", "8", "--topology", "random-connected",
+                         "--corruption", "garbage-flyover-vars"])
+    assert sc.topology == "random_connected"
+    assert sc.corruption == "garbage_flyover_vars"
+
+
+def test_unknown_corruption_lists_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_scenario(["--n", "8", "--corruption", "bogus"])
+    assert exc.value.code == 2
+    assert ("unknown corruption 'bogus' (choose from none, garbage_flyover_vars, "
+            "stale_channel_messages, all)") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "0"],
     ["--n", "8", "--supervisor", "bogus"],
@@ -84,6 +99,22 @@ def test_run_experiments_orders_by_scenario_then_seed():
     )
     rows = run_experiments(spec)
     assert [(row["n"], row["seed"]) for row in rows] == [(4, 0), (4, 1), (5, 0), (5, 1)]
+
+
+def test_run_experiments_reps_keep_every_scenario_field(monkeypatch):
+    base = Scenario(n=6, topology="star", supervisor="split",
+                    corruption="all", seed=10, max_rounds=7)
+    seen = []
+    real_run = cli.run
+
+    def capture(scenario, trace_path=None):
+        seen.append(scenario)
+        return real_run(scenario, trace_path)
+
+    monkeypatch.setattr(cli, "run", capture)
+    run_experiments(ExperimentSpec(scenarios=[base], reps=3))
+    assert seen == [dataclasses.replace(base, seed=base.seed + k)
+                    for k in range(3)]
 
 
 def test_run_experiments_validates():

@@ -37,10 +37,10 @@ from linfly.engine import (
     run,
     seed_backbone,
     seed_flyover,
+    start,
     step_round,
 )
 from linfly.protocol import TestFlyID
-from linfly.supervisor import make_supervisor
 
 
 # --- topologies -------------------------------------------------------------
@@ -170,8 +170,7 @@ def test_inject_rejects_unknown_corruption():
 
 def test_step_two_nodes_exchange_introductions():
     cfg = _path_config(2)
-    stats = RoundStats()
-    step_round(cfg, stats)
+    stats = step_round(cfg)
     assert cfg.round_no == 1
     assert stats.messages > 0
     for u, peer in ((0, 1), (1, 0)):
@@ -195,9 +194,7 @@ def test_step_round_is_deterministic():
 def test_stepping_a_clone_leaves_the_original_alone(corruption):
     # node rounds update sets such as base memory in place; a clone must
     # share none of them with its original
-    adj, _ = make_topology("random_connected", 16, random.Random(5))
-    cfg = inject_faults(initial_configuration(adj), corruption, 5)
-    cfg.supervisor = make_supervisor(set(cfg.ids()), "honest")
+    cfg, _pair = start(Scenario(n=16, corruption=corruption, seed=5))
     before = cfg.dumps()
     copy = cfg.clone()
     for _ in range(8):
@@ -236,9 +233,7 @@ def test_exit_spreads_through_flyover():
     cfg.nodes[0].exit = 1
     rejected = set()
     for _ in range(8):
-        stats = RoundStats()
-        step_round(cfg, stats)
-        rejected |= stats.rejected
+        rejected |= step_round(cfg).rejected
         if len(rejected) == 8:
             break
     assert rejected == set(range(8))
@@ -260,20 +255,6 @@ def _count_node_round(monkeypatch) -> list:
     return calls
 
 
-def _stats(stats: RoundStats) -> tuple:
-    return stats.messages, sorted(stats.rejected), stats.provenance_violations
-
-
-def _start(topology, supervisor, corruption, n=32, seed=3):
-    """The start configuration run() builds for this scenario."""
-    scenario = Scenario(n=n, topology=topology, supervisor=supervisor,
-                        corruption=corruption, seed=seed)
-    adj, _pair = make_topology(topology, n, random.Random(seed))
-    cfg = initial_configuration(adj)
-    cfg.supervisor = engine._scenario_supervisor(scenario, set(cfg.ids()))
-    return inject_faults(cfg, corruption, seed)
-
-
 @pytest.mark.parametrize("supervisor", SUPERVISOR_MODES)
 @pytest.mark.parametrize("topology", ["far_pair", "random_connected"])
 def test_replay_matches_recomputation_every_round(monkeypatch, topology,
@@ -283,19 +264,19 @@ def test_replay_matches_recomputation_every_round(monkeypatch, topology,
     calls = _count_node_round(monkeypatch)
     rounds, n = 48, 32
     for corruption in CORRUPTIONS:
-        cfg = _start(topology, supervisor, corruption, n)
+        cfg, _pair = start(Scenario(n=n, topology=topology, supervisor=supervisor,
+                                    corruption=corruption, seed=3))
         ref = cfg.clone()
         computed = 0
         for r in range(rounds):
-            a, b = RoundStats(), RoundStats()
             before = calls[0]
-            step_round(cfg, a)
+            a = step_round(cfg)
             computed += calls[0] - before
             ref.replay.clear()
-            step_round(ref, b)
+            b = step_round(ref)
             assert cfg.dumps() == ref.dumps(), (corruption, r)
             assert cfg.sup_inbox == ref.sup_inbox, (corruption, r)
-            assert _stats(a) == _stats(b), (corruption, r)
+            assert a == b, (corruption, r)
         if topology == "far_pair" and supervisor == "none":
             assert computed < rounds * n, corruption
 
@@ -325,11 +306,10 @@ def _step_against_recomputation(cfg) -> RoundStats:
     """Step cfg and a clone of it, which starts with an empty replay
     table; both must reach the same configuration and statistics."""
     ref = cfg.clone()
-    a, b = RoundStats(), RoundStats()
-    step_round(cfg, a)
-    step_round(ref, b)
+    a = step_round(cfg)
+    b = step_round(ref)
     assert cfg.dumps() == ref.dumps()
-    assert _stats(a) == _stats(b)
+    assert a == b
     return a
 
 
@@ -396,14 +376,10 @@ def test_seeded_flyover_is_a_fixed_point():
         u: (st.L[:], st.R[:], st.vid, st.c_par, st.c_dist, sorted(st.c_ids))
         for u, st in cfg.nodes.items()
     }
-    stats = RoundStats()
-    step_round(cfg, stats)
-    assert not stats.rejected
+    assert not step_round(cfg).rejected
     chan1 = {u: Counter(st.channel) for u, st in cfg.nodes.items()}
     for _ in range(4):
-        stats = RoundStats()
-        step_round(cfg, stats)
-        assert not stats.rejected
+        assert not step_round(cfg).rejected
         regs = {
             u: (st.L[:], st.R[:], st.vid, st.c_par, st.c_dist, sorted(st.c_ids))
             for u, st in cfg.nodes.items()
@@ -481,9 +457,7 @@ def test_census_empty_without_duals():
 def test_three_node_steady_state_census():
     # run an advised 3-node network well past convergence; the stable picture
     # is a single backbone carrying the flyover and configured as advised
-    adj, _ = make_topology("path", 3)
-    cfg = initial_configuration(adj)
-    cfg.supervisor = make_supervisor(set(cfg.ids()), "honest")
+    cfg, _pair = start(Scenario(n=3, topology="path"))
     for _ in range(40):
         step_round(cfg)
     census = classify_structures(cfg)
@@ -606,10 +580,10 @@ def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology)
         public_checks(config)
         return config
 
-    def step_and_check(config, stats=None):
-        step(config, stats)
+    def step_and_check(config):
+        stats = step(config)
         public_checks(config)
-        return config
+        return stats
 
     monkeypatch.setattr(engine, "inject_faults", inject_and_check)
     monkeypatch.setattr(engine, "step_round", step_and_check)
@@ -634,6 +608,23 @@ def test_run_is_deterministic():
     a, b = run(sc), run(sc)
     assert a.config.dumps() == b.config.dumps()
     assert a.metrics == b.metrics
+
+
+@pytest.mark.parametrize("fn", [start, run])
+@pytest.mark.parametrize("name", ["topology", "supervisor", "corruption"])
+def test_unknown_scenario_names_are_rejected(fn, name):
+    scenario = dataclasses.replace(Scenario(n=8), **{name: "bogus"})
+    with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+        fn(scenario)
+
+
+def test_start_takes_either_spelling_of_a_mode():
+    a, _pair = start(Scenario(n=8, supervisor="wrong-vids"))
+    b, _pair = start(Scenario(n=8, supervisor="wrong_vids"))
+    assert a.supervisor == b.supervisor
+    assert a.supervisor.strategy == "wrong_vids"
+    unsupervised, _pair = start(Scenario(n=8, supervisor="none"))
+    assert unsupervised.supervisor is None
 
 
 def test_default_round_budget():

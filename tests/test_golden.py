@@ -29,27 +29,22 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from linfly import cli
-from linfly.core import initial_configuration
 from linfly.engine import (
     CORRUPTIONS,
     SUPERVISOR_MODES,
-    RoundStats,
     Scenario,
     default_max_rounds,
-    inject_faults,
     is_legal,
-    make_topology,
     run,
+    start,
     step_round,
 )
-from linfly.supervisor import STRATEGIES, make_supervisor
 
 TOPOLOGIES = ("random_connected", "far_pair")
 SIZES = (8, 32)
@@ -100,23 +95,12 @@ def _grid():
     return itertools.product(CORRUPTIONS, TOPOLOGIES, SIZES)
 
 
-def _supervisor(mode: str, membership: set):
-    if mode == "none":
-        return None
-    if mode in STRATEGIES:
-        return make_supervisor(membership, "malicious", mode)
-    return make_supervisor(membership, mode)
-
-
 def _hash_rounds(h, mode: str, corruption: str, topology: str, n: int) -> None:
-    adjacency, _pair = make_topology(topology, n, random.Random(SEED))
-    config = initial_configuration(adjacency)
-    config.supervisor = _supervisor(mode, set(config.ids()))
-    inject_faults(config, corruption, SEED)
+    config, _pair = start(Scenario(n=n, topology=topology, supervisor=mode,
+                                   corruption=corruption, seed=SEED))
     h.update(config.dumps().encode())
     while not is_legal(config) and config.round_no < default_max_rounds(n):
-        stats = RoundStats()
-        step_round(config, stats)
+        stats = step_round(config)
         h.update(config.dumps().encode())
         h.update(repr((stats.messages, sorted(stats.rejected),
                        stats.provenance_violations)).encode())

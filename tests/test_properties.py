@@ -1,7 +1,5 @@
 """Randomized invariant checks over the protocol and engine."""
 
-import random
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
@@ -38,15 +36,14 @@ from linfly.engine import (
     CORRUPTIONS,
     _degree_high_water,
     _monitor,
+    Scenario,
     classify_structures,
-    inject_faults,
     is_legal,
-    make_topology,
+    start,
     step_round,
 )
 from linfly import protocol
 from linfly.protocol import SORT_KEYS, RoundOutput, next_stop, node_round
-from linfly.supervisor import make_supervisor
 from linfly.ttp import label_tree, oracle_is_valid_output, tree_to_path
 
 ids_strategy = hs.integers(min_value=0, max_value=7)
@@ -403,11 +400,8 @@ def test_fused_monitors_match_reference_and_public_checks(data):
        corruption=hs.sampled_from(CORRUPTIONS),
        supervised=hs.booleans())
 def test_rounds_preserve_weak_connectivity(n, seed, corruption, supervised):
-    adj, _ = make_topology("random_connected", n, random.Random(seed))
-    cfg = initial_configuration(adj)
-    cfg = inject_faults(cfg, corruption, seed)
-    if supervised:
-        cfg.supervisor = make_supervisor(set(cfg.ids()), "honest")
+    cfg, _pair = start(Scenario(n=n, supervisor="honest" if supervised else "none",
+                                corruption=corruption, seed=seed))
     assert is_weakly_connected(cfg)
     for _ in range(8):
         step_round(cfg)
