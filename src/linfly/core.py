@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 NodeId = int
@@ -280,13 +280,9 @@ class NodeState:
                 self.dist, frozenset(self.base_mem))
 
     def clone(self) -> "NodeState":
-        return NodeState(
-            id=self.id, L=list(self.L), R=list(self.R), vid=self.vid,
-            flyid=self.flyid, exit=self.exit, c_par=self.c_par,
-            c_dist=self.c_dist, c_ids=set(self.c_ids), t=self.t,
-            dist=self.dist, base_mem=set(self.base_mem),
-            channel=list(self.channel),
-        )
+        return replace(self, L=list(self.L), R=list(self.R),
+                       c_ids=set(self.c_ids), base_mem=set(self.base_mem),
+                       channel=list(self.channel))
 
     def to_record(self) -> dict:
         return {
@@ -325,18 +321,13 @@ class Configuration:
         return sorted(self.nodes)
 
     def clone(self) -> "Configuration":
-        return Configuration(
-            nodes={u: st.clone() for u, st in self.nodes.items()},
-            round_no=self.round_no,
-            supervisor=copy.deepcopy(self.supervisor),
-            sup_inbox=list(self.sup_inbox),
-        )
-
-    def to_records(self) -> list[dict]:
-        return [self.nodes[u].to_record() for u in self.ids()]
+        return replace(self, nodes={u: st.clone() for u, st in self.nodes.items()},
+                       supervisor=copy.deepcopy(self.supervisor),
+                       sup_inbox=list(self.sup_inbox), replay={})
 
     def dumps(self) -> str:
-        return json.dumps({"round": self.round_no, "nodes": self.to_records()})
+        return json.dumps({"round": self.round_no,
+                           "nodes": [self.nodes[u].to_record() for u in self.ids()]})
 
 
 def initial_configuration(adjacency: dict[NodeId, set[NodeId]]) -> Configuration:
@@ -389,18 +380,9 @@ def communication_graph(config: Configuration) -> dict[NodeId, set[NodeId]]:
     return undirected(explicit_out(config), implicit_out(config))
 
 
-def is_weakly_connected(graph) -> bool:
-    """True when the undirected version of the graph is connected.
-
-    Accepts a Configuration or a plain adjacency dict mapping each node
-    to a set of successors (nodes without edges still need a key).
-    """
-    if isinstance(graph, Configuration):
-        adj = communication_graph(graph)
-    else:
-        nodes = {v: () for succs in graph.values() for v in succs}
-        nodes.update(graph)
-        adj = undirected(nodes)
+def is_weakly_connected(config: Configuration) -> bool:
+    """True when the configuration's communication graph is connected."""
+    adj = communication_graph(config)
     if len(adj) <= 1:
         return True
     return len(bfs_distances(adj, min(adj))) == len(adj)

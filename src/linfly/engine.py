@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 # communication_graph, explicit_edges and is_weakly_connected are not
@@ -53,8 +54,6 @@ from .core import (
 from .protocol import node_round as _protocol_node_round
 from .supervisor import STRATEGIES, honest_step, make_supervisor
 from .ttp import decode_pruefer
-
-TOPOLOGIES = ("path", "star", "two_clusters", "random_connected", "far_pair")
 
 CORRUPTIONS = ("none", "garbage_flyover_vars", "stale_channel_messages", "all")
 
@@ -117,55 +116,50 @@ class RunResult:
 # --- start topologies -------------------------------------------------------
 
 
-def path_topology(n: int) -> dict[NodeId, set[NodeId]]:
+Topology = tuple[dict[NodeId, set[NodeId]], Optional[tuple[NodeId, NodeId]]]
+
+
+def _graph(n: int, edges) -> dict[NodeId, set[NodeId]]:
+    """Undirected adjacency on ids 0..n-1; a self-pair adds no edge."""
     adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    for u in range(n - 1):
-        adj[u].add(u + 1)
-        adj[u + 1].add(u)
-    return adj
-
-
-def star_topology(n: int) -> dict[NodeId, set[NodeId]]:
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    for u in range(1, n):
-        adj[0].add(u)
-        adj[u].add(0)
-    return adj
-
-
-def two_clusters_topology(n: int) -> dict[NodeId, set[NodeId]]:
-    """Two cliques joined by a single bridge edge."""
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    h = n // 2
-    for lo, hi in ((0, h), (h, n)):
-        for u in range(lo, hi):
-            for v in range(u + 1, hi):
-                adj[u].add(v)
-                adj[v].add(u)
-    if 0 < h < n:
-        adj[h - 1].add(h)
-        adj[h].add(h - 1)
-    return adj
-
-
-def random_connected_topology(n: int, rng: random.Random) -> dict[NodeId, set[NodeId]]:
-    """Uniform random spanning tree plus n/2 extra random edges."""
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    if n >= 2:
-        # decoding a uniform random sequence yields a uniform labelled tree
-        tree = decode_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
-        for u, vs in enumerate(tree):
-            adj[u].update(vs)
-    for _ in range(n // 2):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+    for u, v in edges:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
     return adj
 
 
-def far_pair_topology(n: int) -> tuple[dict[NodeId, set[NodeId]], tuple[NodeId, NodeId]]:
+def _clique(lo: int, hi: int):
+    return ((u, v) for u in range(lo, hi) for v in range(u + 1, hi))
+
+
+def path_topology(n: int, _rng: random.Random) -> Topology:
+    return _graph(n, ((u, u + 1) for u in range(n - 1))), None
+
+
+def star_topology(n: int, _rng: random.Random) -> Topology:
+    return _graph(n, ((0, u) for u in range(1, n))), None
+
+
+def two_clusters_topology(n: int, _rng: random.Random) -> Topology:
+    """Two cliques joined by a single bridge edge."""
+    h = n // 2
+    bridge = [(h - 1, h)] if h > 0 else []
+    return _graph(n, chain(_clique(0, h), _clique(h, n), bridge)), None
+
+
+def random_connected_topology(n: int, rng: random.Random) -> Topology:
+    """Uniform random spanning tree plus n/2 extra random edges."""
+    edges = []
+    if n >= 2:
+        # decoding a uniform random sequence yields a uniform labelled tree
+        tree = decode_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+        edges = [(u, v) for u, vs in enumerate(tree) for v in vs]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    return _graph(n, edges), None
+
+
+def far_pair_topology(n: int, _rng: random.Random) -> Topology:
     """Graph where the sorted-consecutive pair (n/2 - 1, n/2) sits at
     graph distance about n/2: two cliques on the extreme ids, two chains
     reaching inward, and one bridge between the cliques."""
@@ -173,38 +167,31 @@ def far_pair_topology(n: int) -> tuple[dict[NodeId, set[NodeId]], tuple[NodeId, 
         raise ValueError("far_pair needs n >= 4")
     q = max(2, n // 4)
     m = n // 2
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n)}
-    for lo, hi in ((0, q), (n - q, n)):
-        for u in range(lo, hi):
-            for v in range(u + 1, hi):
-                adj[u].add(v)
-                adj[v].add(u)
-    for u in range(q - 1, m - 1):
-        adj[u].add(u + 1)
-        adj[u + 1].add(u)
-    for u in range(m, n - q):
-        adj[u].add(u + 1)
-        adj[u + 1].add(u)
-    adj[0].add(n - 1)
-    adj[n - 1].add(0)
-    return adj, (m - 1, m)
+    chains = ((u, u + 1) for u in chain(range(q - 1, m - 1), range(m, n - q)))
+    edges = chain(_clique(0, q), _clique(n - q, n), chains, [(0, n - 1)])
+    return _graph(n, edges), (m - 1, m)
+
+
+# name -> builder; TOPOLOGIES keeps this order, which the acceptance
+# grid's per-run seeds follow
+_TOPOLOGY_FNS = {
+    "path": path_topology,
+    "star": star_topology,
+    "two_clusters": two_clusters_topology,
+    "random_connected": random_connected_topology,
+    "far_pair": far_pair_topology,
+}
+
+TOPOLOGIES = tuple(_TOPOLOGY_FNS)
 
 
 def make_topology(name: str, n: int, rng: Optional[random.Random] = None,
-                  ) -> tuple[dict[NodeId, set[NodeId]], Optional[tuple[NodeId, NodeId]]]:
+                  ) -> Topology:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if name == "path":
-        return path_topology(n), None
-    if name == "star":
-        return star_topology(n), None
-    if name == "two_clusters":
-        return two_clusters_topology(n), None
-    if name == "random_connected":
-        return random_connected_topology(n, rng or random.Random(0)), None
-    if name == "far_pair":
-        return far_pair_topology(n)
-    raise ValueError(f"unknown topology {name!r}")
+    if name not in _TOPOLOGY_FNS:
+        raise ValueError(f"unknown topology {name!r}")
+    return _TOPOLOGY_FNS[name](n, rng or random.Random(0))
 
 
 # --- fault injection --------------------------------------------------------
@@ -578,13 +565,8 @@ def seed_backbone(ids) -> Configuration:
             st.c_par = i
         if i + 1 < m:
             st.R = [ids[i + 1]]
-        nb = set()
-        if i > 0:
-            nb.add(ids[i - 1])
-        if i + 1 < m:
-            nb.add(ids[i + 1])
-        st.c_ids = set(nb)
-        st.base_mem = set(nb)
+        st.c_ids = st.S
+        st.base_mem = st.S
         nodes[u] = st
     return _prime_channels(Configuration(nodes=nodes))
 

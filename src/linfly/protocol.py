@@ -339,29 +339,27 @@ def _setup_local_transform(st: NodeState, children: list[NodeId],
         out.sends.append((st.id, Verified("child", c)))
 
 
+def _claim(slots: dict, key, v: NodeId, ignore: bool) -> bool:
+    """The claim rule of the advice pipeline's single-id slots: the first
+    claim fills its slot; a second claim, or any claim made once ignoring,
+    leaves the slot as it is and sets ignore. Returns ignore."""
+    if slots[key] is not None:
+        ignore = True
+    if not ignore:
+        slots[key] = v
+    return ignore
+
+
 def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     ignore = not (not st.dual and st.exit == 0 and st.t > 1)
-    parent = r_sib = l_sib = None
+    slots = dict.fromkeys(("parent", "sib+", "sib-"))
     children: set[NodeId] = set()
     for m in by_type.get(Verified, ()):
-        kind, v = m.kind, m.id
-        if kind == "parent":
-            if parent is not None:
-                ignore = True
-            if not ignore:
-                parent = v
-        elif kind == "sib+":
-            if r_sib is not None:
-                ignore = True
-            if not ignore:
-                r_sib = v
-        elif kind == "sib-":
-            if l_sib is not None:
-                ignore = True
-            if not ignore:
-                l_sib = v
-        if kind == "child" or ignore:
-            children.add(v)
+        if m.kind in slots:
+            ignore = _claim(slots, m.kind, m.id, ignore)
+        if m.kind == "child" or ignore:
+            children.add(m.id)
+    parent, r_sib, l_sib = slots.values()
     if (parent is None and st.dist != 0) or (parent is not None and st.dist < 1):
         ignore = True
     if not ignore and parent is not None:
@@ -389,21 +387,14 @@ def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
 
 def _join_path(st: NodeState, by_type: dict) -> None:
     ignore = not (not st.dual and st.exit == 0 and st.t >= 1)
-    fly_l = fly_r = None
-    for m in by_type.get(PathPlus, ()):
-        if fly_r is not None:
-            ignore = True
-        if not ignore:
-            fly_r = m.id
-        else:
-            flush(st.base_mem, (m.id,), st.id)
-    for m in by_type.get(PathMinus, ()):
-        if st.vid == 1 or fly_l is not None:
-            ignore = True
-        if not ignore:
-            fly_l = m.id
-        else:
-            flush(st.base_mem, (m.id,), st.id)
+    slots = {PathPlus: None, PathMinus: None}
+    # the leftmost path position takes no left neighbour
+    for kind, barred in ((PathPlus, False), (PathMinus, st.vid == 1)):
+        for m in by_type.get(kind, ()):
+            ignore = _claim(slots, kind, m.id, ignore or barred)
+            if ignore:
+                flush(st.base_mem, (m.id,), st.id)
+    fly_r, fly_l = slots.values()
     if not ignore:
         if fly_l is not None and fly_l != st.id:
             st.L = [fly_l]

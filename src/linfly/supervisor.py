@@ -20,6 +20,7 @@ from .core import (
     NodeId,
     RequestSnapshot,
     bfs_distances,
+    undirected,
 )
 from .ttp import label_tree, tree_to_path
 
@@ -49,24 +50,20 @@ def make_supervisor(membership, mode: str = "honest",
 
 def snapshot_graph(collected: dict[NodeId, frozenset],
                    membership: set[NodeId]) -> dict[NodeId, set[NodeId]]:
-    """Union the reported memberships into an undirected graph."""
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in sorted(membership)}
-    for u, members in collected.items():
-        for v in members:
-            if v in adj and v != u:
-                adj[u].add(v)
-                adj[v].add(u)
-    return adj
+    """Union the reported memberships into an undirected graph; ids
+    outside the membership, as reporter or as reported, are ignored."""
+    return undirected({u: {v for v in collected.get(u, ())
+                           if v in membership and v != u}
+                       for u in sorted(membership)})
 
 
-def compute_advice(snapshot: dict[NodeId, set[NodeId]],
-                   root: NodeId) -> dict[NodeId, Advice]:
-    """Honest advice: spanning-tree path positions plus sorted-path certificate."""
+def compute_advice(snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
+    """Honest advice: spanning-tree path positions plus sorted-path
+    certificate, both rooted at the least id."""
     ids = sorted(snapshot)
     if len(ids) < 2:
         raise ValueError("advice needs at least two nodes")
-    if root not in snapshot:
-        raise ValueError("root must be in the snapshot")
+    root = ids[0]
     parent: dict[NodeId, NodeId] = {}
     depth = {root: 0}
     queue = deque([root])
@@ -94,10 +91,6 @@ def compute_advice(snapshot: dict[NodeId, set[NodeId]],
     return out
 
 
-def _advice_root(snapshot: dict[NodeId, set[NodeId]]) -> NodeId:
-    return min(snapshot)
-
-
 def _strategy_split(snapshot, membership) -> dict[NodeId, Advice]:
     """Advise two disjoint paths over the id halves, without any cross edge."""
     ids = sorted(membership)
@@ -111,7 +104,7 @@ def _strategy_split(snapshot, membership) -> dict[NodeId, Advice]:
         if len(comp) < 2:
             continue
         part = {u: snapshot[u] & comp for u in sorted(comp)}
-        out.update(compute_advice(part, min(comp)))
+        out.update(compute_advice(part))
     return out
 
 
@@ -122,7 +115,7 @@ def _strategy_sybil(snapshot, membership) -> dict[NodeId, Advice]:
 
 
 def _strategy_wrong_vids(snapshot, membership) -> dict[NodeId, Advice]:
-    out = compute_advice(snapshot, _advice_root(snapshot))
+    out = compute_advice(snapshot)
     victim = max(out, key=lambda u: out[u].vid)
     a = out[victim]
     bad_vid = 2 if a.vid >= 3 else 3
@@ -132,11 +125,9 @@ def _strategy_wrong_vids(snapshot, membership) -> dict[NodeId, Advice]:
 
 
 def _strategy_cycle(snapshot, membership) -> dict[NodeId, Advice]:
-    out = compute_advice(snapshot, _advice_root(snapshot))
-    root = _advice_root(snapshot)
-    ring = sorted(u for u in out if u != root)[-3:]
-    if not ring:
-        return out
+    out = compute_advice(snapshot)
+    # the three largest non-root ids; only the root is advised no parent
+    ring = sorted(u for u in out if out[u].par is not None)[-3:]
     vids = [out[u].vid for u in ring]
     shared = max(out[u].c_dist for u in ring)
     for i, u in enumerate(ring):
@@ -147,7 +138,7 @@ def _strategy_cycle(snapshot, membership) -> dict[NodeId, Advice]:
 
 
 def _strategy_partial(snapshot, membership) -> dict[NodeId, Advice]:
-    out = compute_advice(snapshot, _advice_root(snapshot))
+    out = compute_advice(snapshot)
     out.pop(max(out))
     return out
 
@@ -172,7 +163,7 @@ def _strategy_stale(snapshot, membership) -> dict[NodeId, Advice]:
                     adj[u].add(w)
                     adj[w].add(u)
                     break
-    return compute_advice(adj, _advice_root(adj))
+    return compute_advice(adj)
 
 
 _STRATEGY_FNS = {
@@ -213,7 +204,7 @@ def honest_step(state: SupervisorState,
         if (set(state.collected) == state.membership
                 and len(bfs_distances(snap, min(snap))) == len(snap)):
             if state.strategy is None:
-                advice = compute_advice(snap, _advice_root(snap))
+                advice = compute_advice(snap)
             else:
                 advice = malicious_step(state.strategy, state.membership, snap)
             for u in sorted(advice):

@@ -21,9 +21,6 @@ class LabelledRootedTree:
     parent: dict[NodeId, NodeId]  # vertex -> parent, root absent
     label: dict[NodeId, int]  # vertex -> 0 or 1
 
-    def vertices(self) -> list[NodeId]:
-        return sorted(self.label)
-
 
 def _children_map(root: NodeId, parent: Mapping[NodeId, NodeId]) -> dict[NodeId, list[NodeId]]:
     children: dict[NodeId, list[NodeId]] = {root: []}

@@ -158,8 +158,8 @@ def test_weak_connectivity_on_configs():
 
 
 def test_weak_connectivity_on_plain_graphs():
-    assert is_weakly_connected({0: set()})
-    assert is_weakly_connected({0: {1}, 1: set()})
-    assert not is_weakly_connected({0: set(), 1: set()})
-    # a successor without a key is still a node of the graph
-    assert not is_weakly_connected({1: {3}, 2: set()})
+    assert is_weakly_connected(initial_configuration({0: set()}))
+    assert is_weakly_connected(initial_configuration({0: {1}, 1: set()}))
+    assert not is_weakly_connected(initial_configuration({0: set(), 1: set()}))
+    # an id without a node is no edge: 1 and 2 stay apart
+    assert not is_weakly_connected(initial_configuration({1: {3}, 2: set()}))

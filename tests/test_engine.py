@@ -15,6 +15,7 @@ from linfly.core import (
     Configuration,
     Intro,
     IntroCert,
+    Neighborhood,
     NodeState,
     Rev,
     bfs_distances,
@@ -77,7 +78,7 @@ def test_random_connected_is_connected_and_deterministic():
     adj2, _ = make_topology("random_connected", 20, random.Random(5))
     assert adj1 == adj2
     assert set(adj1) == set(range(20))
-    assert is_weakly_connected({u: set(vs) for u, vs in adj1.items()})
+    assert is_weakly_connected(initial_configuration(adj1))
     adj3, _ = make_topology("random_connected", 20, random.Random(6))
     assert adj3 != adj1
 
@@ -89,7 +90,8 @@ def test_random_connected_small_sizes():
         adj3, _ = make_topology("random_connected", 3, random.Random(seed))
         assert adj1 == {0: set()}
         assert adj2 == {0: {1}, 1: {0}}
-        assert set(adj3) == {0, 1, 2} and is_weakly_connected(adj3)
+        assert set(adj3) == {0, 1, 2}
+        assert is_weakly_connected(initial_configuration(adj3))
 
 
 @pytest.mark.parametrize("n,pair,dist", [(16, (7, 8), 11), (32, (15, 16), 19), (64, (31, 32), 35)])
@@ -309,6 +311,7 @@ def _step_against_recomputation(cfg) -> RoundStats:
     a = step_round(cfg)
     b = step_round(ref)
     assert cfg.dumps() == ref.dumps()
+    assert cfg.sup_inbox == ref.sup_inbox
     assert a == b
     return a
 
@@ -342,6 +345,35 @@ def test_replay_sees_a_rebound_round_function(monkeypatch):
     monkeypatch.setattr(engine, "node_round", leaky_round)
     stats = _step_against_recomputation(cfg)
     assert stats.provenance_violations > 0
+
+
+def _reporting(round_fn, report):
+    """round_fn, plus one supervisor report report(state) per node-round."""
+    def reporting_round(state, delivered):
+        st, out = round_fn(state, delivered)
+        out.to_supervisor.append(report(st))
+        return st, out
+    return reporting_round
+
+
+def test_audit_counts_ids_in_supervisor_reports(monkeypatch):
+    cfg = seed_flyover(list(range(9)))
+    assert step_round(cfg.clone()).provenance_violations == 0
+    # id 99 names no node any node knows of
+    monkeypatch.setattr(engine, "node_round",
+                        _reporting(engine.node_round, lambda st: Neighborhood((99,))))
+    assert step_round(cfg).provenance_violations > 0
+
+
+def test_replay_routes_stored_supervisor_reports(monkeypatch):
+    # a fixed point that reports its base memory every round, as a node
+    # answering snapshot requests would, replays those reports too
+    monkeypatch.setattr(engine, "node_round", _reporting(
+        engine.node_round, lambda st: Neighborhood(tuple(sorted(st.base_mem)))))
+    cfg = _replaying_flyover(monkeypatch)
+    stats = _step_against_recomputation(cfg)
+    assert [u for u, _msg in cfg.sup_inbox] == cfg.ids()
+    assert stats.provenance_violations == 0
 
 
 def _changed(value):
@@ -417,6 +449,24 @@ def test_flyover_flag_first_true_at_log_rounds(m):
 
 
 # --- census -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("register,value,flyover,configured", [
+    # node 5's level-2 left shortcut is 3 in a flyover (L is [4, 3, 1])
+    ("L", [4, 0, 1], False, True),
+    # its certificate parent, node 4, has vid 5
+    ("c_par", 2, True, False),
+    # it sits 5 sorted positions from the left end
+    ("c_dist", 9, True, False),
+])
+def test_census_checks_each_shortcut_and_certificate(register, value, flyover,
+                                                     configured):
+    cfg = seed_flyover(list(range(8)))
+    [bb] = classify_structures(cfg).backbones
+    assert bb.flyover and bb.correctly_configured
+    setattr(cfg.nodes[5], register, value)
+    [bb] = classify_structures(cfg).backbones
+    assert (bb.flyover, bb.correctly_configured) == (flyover, configured)
 
 
 def test_census_perfect_ring():

@@ -1,6 +1,9 @@
 """Randomized invariant checks over the protocol and engine."""
 
-from hypothesis import example, given, settings
+import dataclasses
+import typing
+
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as hs
 
 from linfly.baseline import base_step, flush
@@ -12,11 +15,11 @@ from linfly.core import (
     FlyConstR,
     Intro,
     IntroCert,
+    Message,
     Neighborhood,
     NodeState,
     PathMinus,
     PathPlus,
-    RejFlyover,
     RequestSnapshot,
     Rev,
     TestAdvice,
@@ -95,29 +98,34 @@ wire_ids = hs.integers(min_value=0, max_value=11)
 small_ints = hs.integers(min_value=-1, max_value=9)
 id_tuples = hs.lists(wire_ids, max_size=3).map(tuple)
 
-# one strategy per message kind, all 19 of them
-messages = hs.one_of(
-    hs.just(RejFlyover()),
-    hs.builds(TestLineR, wire_ids),
-    hs.builds(TestLineL, wire_ids),
-    hs.builds(FlyConstR, wire_ids, hs.integers(min_value=0, max_value=4), wire_ids),
-    hs.builds(FlyConstL, wire_ids, hs.integers(min_value=0, max_value=4), wire_ids),
-    hs.builds(TestVID, small_ints),
-    hs.builds(TestFlyID, wire_ids | hs.none()),
-    hs.builds(TestCert, wire_ids, small_ints, small_ints),
-    hs.builds(IntroCert, wire_ids),
-    hs.just(RequestSnapshot()),
-    hs.builds(Intro, wire_ids),
-    hs.builds(Neighborhood, id_tuples),
-    hs.builds(Advice, small_ints, small_ints, small_ints,
-              wire_ids | hs.none(), small_ints),
-    hs.builds(TestAdvice, small_ints, wire_ids),
-    hs.builds(Verified, hs.sampled_from(VERIFIED_KINDS), wire_ids),
-    hs.builds(PathPlus, wire_ids),
-    hs.builds(PathMinus, wire_ids),
-    hs.builds(Rev, wire_ids, id_tuples),
-    hs.builds(Base, id_tuples),
-)
+# what each field annotation of a message class draws; these are the
+# annotation strings as written in linfly.core
+FIELD_STRATEGIES = {
+    "NodeId": wire_ids,
+    "int": small_ints,
+    "Optional[NodeId]": wire_ids | hs.none(),
+    "tuple[NodeId, ...]": id_tuples,
+    "str": hs.sampled_from(VERIFIED_KINDS),
+}
+
+MESSAGE_CLASSES = typing.get_args(Message)
+
+# one strategy per message kind, all 19 of them, built from their fields
+messages = hs.one_of([
+    hs.builds(cls, *(FIELD_STRATEGIES[f.type] for f in dataclasses.fields(cls)))
+    for cls in MESSAGE_CLASSES
+])
+
+
+def test_message_strategy_draws_every_class():
+    annotations = {f.type for cls in MESSAGE_CLASSES for f in dataclasses.fields(cls)}
+    assert annotations == set(FIELD_STRATEGIES)
+    assert len(MESSAGE_CLASSES) == 19
+    # find raises when no drawn example is of the class
+    for cls in MESSAGE_CLASSES:
+        find(messages, lambda m: type(m) is cls,
+             settings=settings(max_examples=2000, database=None,
+                               phases=[Phase.generate]))
 
 
 # The order in which a node processes the messages of one class, written out

@@ -21,7 +21,8 @@ from linfly.core import (
     TestVID,
     Verified,
 )
-from linfly.protocol import next_stop, node_round, well_formed_advice
+from linfly import protocol
+from linfly.protocol import RoundOutput, next_stop, node_round, well_formed_advice
 
 
 def run_node(st, delivered=()):
@@ -440,6 +441,26 @@ def test_transform_duplicate_parent_ignored():
     assert not any(isinstance(m, (PathPlus, PathMinus)) for _, m in out.sends)
 
 
+@pytest.mark.parametrize("kind", ["parent", "sib+", "sib-"])
+def test_transform_duplicate_claim_ignores_and_keeps_every_id(kind):
+    # the first claim fills its slot, the second sets ignore; every id
+    # claimed goes to base memory and no path edge is emitted
+    st = NodeState(id=4, t=3, dist=1)
+    out = RoundOutput()
+    claims = [Verified("parent", 9), Verified(kind, 5), Verified(kind, 6)]
+    protocol._local_transform(st, {Verified: claims}, out)
+    assert not any(isinstance(m, (PathPlus, PathMinus)) for _, m in out.sends)
+    assert st.base_mem == {9, 5, 6}
+
+
+@pytest.mark.parametrize("t,kept", [(3, set()), (0, {9})])
+def test_transform_unknown_kind_fills_no_slot(t, kept):
+    # a kind outside VERIFIED_KINDS is no claim: inside the advice window
+    # its id is dropped, outside it the id is kept like any ignored claim
+    new, _ = run_node(NodeState(id=4, t=t, dist=1), [Verified("bogus", 9)])
+    assert new.base_mem == kept
+
+
 def test_transform_odd_leaf_points_right():
     st = NodeState(id=4, t=3, dist=1)
     _, out = run_node(st, [Verified("parent", 9)])
@@ -471,6 +492,15 @@ def test_join_path_duplicate_refused():
     st = NodeState(id=4, t=2, vid=2, c_par=1, c_dist=1, dist=1)
     new, _ = run_node(st, [PathPlus(5), PathPlus(6)])
     assert new.R == []
+
+
+@pytest.mark.parametrize("kind,side,ids", [(PathPlus, "R", (5, 6)),
+                                           (PathMinus, "L", (3, 2))])
+def test_join_path_duplicate_claim_keeps_both_ids(kind, side, ids):
+    st = NodeState(id=4, t=2, vid=2, c_par=1, c_dist=1, dist=1)
+    protocol._join_path(st, {kind: [kind(v) for v in ids]})
+    assert getattr(st, side) == []
+    assert st.base_mem == set(ids)
 
 
 def test_advised_neighbors_copied_to_base():

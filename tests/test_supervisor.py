@@ -17,7 +17,7 @@ PATH3 = {1: {2}, 2: {1, 3}, 3: {2}}
 
 
 def test_three_node_path_advice():
-    adv = compute_advice(PATH3, 1)
+    adv = compute_advice(PATH3)
     # advised path runs 1, 3, 2
     assert adv[1] == Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0)
     assert adv[2] == Advice(vid=3, c_par=1, c_dist=1, par=1, dist=1)
@@ -25,12 +25,12 @@ def test_three_node_path_advice():
 
 
 def test_two_node_advice():
-    adv = compute_advice({1: {2}, 2: {1}}, 1)
+    adv = compute_advice({1: {2}, 2: {1}})
     assert adv[2] == Advice(vid=2, c_par=1, c_dist=1, par=1, dist=1)
 
 
 def test_advice_is_well_formed_for_recipients():
-    adv = compute_advice(PATH3, 1)
+    adv = compute_advice(PATH3)
     for u, a in adv.items():
         assert well_formed_advice(a, PATH3[u])
 
@@ -42,7 +42,7 @@ def test_advice_vids_are_a_bijection():
         snap[u + 1].add(u)
     snap[0].add(5)
     snap[5].add(0)
-    adv = compute_advice(snap, 0)
+    adv = compute_advice(snap)
     assert sorted(a.vid for a in adv.values()) == list(range(1, 7))
     # certificate distances count positions along the sorted path
     assert [adv[u].c_dist for u in range(6)] == list(range(6))
@@ -50,12 +50,12 @@ def test_advice_vids_are_a_bijection():
 
 def test_advice_refuses_disconnected():
     with pytest.raises(ValueError):
-        compute_advice({1: {2}, 2: {1}, 3: set()}, 1)
+        compute_advice({1: {2}, 2: {1}, 3: set()})
 
 
 def test_advice_refuses_singleton():
     with pytest.raises(ValueError):
-        compute_advice({1: set()}, 1)
+        compute_advice({1: set()})
 
 
 def test_snapshot_union_is_undirected():
@@ -65,6 +65,9 @@ def test_snapshot_union_is_undirected():
 
 def test_snapshot_ignores_foreign_ids():
     snap = snapshot_graph({1: frozenset({2, 99})}, {1, 2})
+    assert snap == {1: {2}, 2: {1}}
+    # a report from outside the membership adds nothing either
+    snap = snapshot_graph({1: frozenset({2}), 99: frozenset({1})}, {1, 2})
     assert snap == {1: {2}, 2: {1}}
 
 
@@ -182,7 +185,7 @@ def test_stale_uses_a_perturbed_snapshot():
         snap[u].add(u + 1)
         snap[u + 1].add(u)
     adv = malicious_step("stale", set(range(4)), snap)
-    honest = compute_advice(snap, 0)
+    honest = compute_advice(snap)
     assert adv != honest
 
 
