@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Collection, Optional
 
 NodeId = int
 
@@ -343,20 +343,29 @@ def initial_configuration(adjacency: dict[NodeId, set[NodeId]]) -> Configuration
 # --- communication graph ---------------------------------------------------
 
 
-def explicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
-    """Each node's explicit out-neighbours: the other nodes whose ids it
+def explicit_out_of(nodes: dict[NodeId, NodeState], u: NodeId) -> set[NodeId]:
+    """Node u's explicit out-neighbours: the other nodes whose ids it
     stores in an address variable."""
+    return {v for v in nodes[u].address_ids() if v != u and v in nodes}
+
+
+def implicit_out_of(nodes: dict[NodeId, NodeState], u: NodeId) -> set[NodeId]:
+    """Node u's implicit out-neighbours: the other nodes whose ids are
+    carried by a message in its channel."""
+    return {v for msg in nodes[u].channel for v in msg.ids()
+            if v != u and v in nodes}
+
+
+def explicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
+    """Every node's explicit_out_of."""
     nodes = config.nodes
-    return {u: {v for v in st.address_ids() if v != u and v in nodes}
-            for u, st in nodes.items()}
+    return {u: explicit_out_of(nodes, u) for u in nodes}
 
 
 def implicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:
-    """Each node's implicit out-neighbours: the other nodes whose ids are
-    carried by a message in its channel."""
+    """Every node's implicit_out_of."""
     nodes = config.nodes
-    return {u: {v for msg in st.channel for v in msg.ids() if v != u and v in nodes}
-            for u, st in nodes.items()}
+    return {u: implicit_out_of(nodes, u) for u in nodes}
 
 
 def explicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
@@ -364,7 +373,8 @@ def explicit_edges(config: Configuration) -> set[tuple[NodeId, NodeId]]:
     return {(u, v) for u, vs in explicit_out(config).items() for v in vs}
 
 
-def undirected(*outs: dict[NodeId, set[NodeId]]) -> dict[NodeId, set[NodeId]]:
+def undirected(*outs: dict[NodeId, Collection[NodeId]],
+               ) -> dict[NodeId, set[NodeId]]:
     """Symmetric union of out-neighbour maps; the first names every node."""
     adj: dict[NodeId, set[NodeId]] = {u: set() for u in outs[0]}
     for out in outs:

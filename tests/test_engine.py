@@ -600,24 +600,32 @@ def test_run_trace_file(tmp_path):
     json.loads(lines[0])
 
 
-@pytest.mark.parametrize("supervisor", ["honest", "none", "sybil"])
-@pytest.mark.parametrize("topology", ["random_connected", "far_pair"])
-def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology):
-    # run() reads connectivity, degree, legality and pair distance from one
-    # graph per round; each must equal its standalone public function
-    inject, step = engine.inject_faults, engine.step_round
-    pair = (7, 8) if topology == "far_pair" else None
+@pytest.mark.parametrize("supervisor", SUPERVISOR_MODES)
+@pytest.mark.parametrize("topology", ["far_pair", "random_connected"])
+def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor):
+    # run() patches its monitor from the nodes each round changed; every
+    # round its connectivity, degree, legality and pair distance must equal
+    # the standalone public functions (the replay test's grid, where
+    # fixed-point rounds replay)
+    inject = engine.inject_faults
+    pair = (15, 16) if topology == "far_pair" else None
     seen = []
 
-    def public_checks(config):
-        dist = None
-        if pair is not None:
-            dist = bfs_distances(communication_graph(config), pair[0]).get(
-                pair[1], len(config.nodes))
-        seen.append((is_weakly_connected(config), _degree_high_water(config),
-                     is_legal(config), dist))
+    class Checked(engine._Monitor):
+        def reading(self):
+            got = super().reading()
+            config = self.config
+            dist = None
+            if pair is not None:
+                dist = bfs_distances(communication_graph(config), pair[0]).get(
+                    pair[1], len(config.nodes))
+            assert got == (is_weakly_connected(config),
+                           _degree_high_water(config), is_legal(config),
+                           dist), (corruption, len(seen))
+            seen.append(got)
+            return got
 
-    def inject_and_check(config, corruption, seed):
+    def inject_and_pollute(config, corruption, seed):
         # every third channel also names an absent node, the receiver
         # itself and no node at all
         inject(config, corruption, seed)
@@ -627,29 +635,26 @@ def test_run_monitors_match_the_public_checks(monkeypatch, supervisor, topology)
                 Intro(absent), Base((absent, u)), Rev(absent, (u,)),
                 IntroCert(u), TestFlyID(None), Advice(2, 1, 1, None, 1),
             ]
-        public_checks(config)
         return config
 
-    def step_and_check(config):
-        stats = step(config)
-        public_checks(config)
-        return stats
-
-    monkeypatch.setattr(engine, "inject_faults", inject_and_check)
-    monkeypatch.setattr(engine, "step_round", step_and_check)
-    buf = io.StringIO()
-    res = run(Scenario(n=16, topology=topology, supervisor=supervisor,
-                       corruption="all", seed=4), trace_path=buf)
-    trace = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert len(seen) == res.rounds + 1 == len(trace) + 1
-    assert [(t["connected"], t["legal"]) for t in trace] == [
-        (c, legal) for c, _d, legal, _p in seen[1:]]
-    m = res.metrics
-    assert m.connectivity_violations == sum(not c for c, *_ in seen)
-    assert m.max_degree_seen == max(d for _c, d, *_ in seen)
-    assert m.rounds_to_legal == next(
-        (r for r, (*_, legal, _p) in enumerate(seen) if legal), None)
-    assert res.pair_distances == [p for *_, p in seen if p is not None]
+    monkeypatch.setattr(engine, "inject_faults", inject_and_pollute)
+    monkeypatch.setattr(engine, "_Monitor", Checked)
+    for corruption in CORRUPTIONS:
+        seen.clear()
+        buf = io.StringIO()
+        res = run(Scenario(n=32, topology=topology, supervisor=supervisor,
+                           corruption=corruption, seed=3), trace_path=buf)
+        trace = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert res.pair == pair
+        assert len(seen) == res.rounds + 1 == len(trace) + 1
+        assert [(t["connected"], t["legal"]) for t in trace] == [
+            (c, legal) for c, _d, legal, _p in seen[1:]]
+        m = res.metrics
+        assert m.connectivity_violations == sum(not c for c, *_ in seen)
+        assert m.max_degree_seen == max(d for _c, d, *_ in seen)
+        assert m.rounds_to_legal == next(
+            (r for r, (*_, legal, _p) in enumerate(seen) if legal), None)
+        assert res.pair_distances == [p for *_, p in seen if p is not None]
 
 
 def test_run_is_deterministic():

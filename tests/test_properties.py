@@ -31,14 +31,18 @@ from linfly.core import (
     Verified,
     bfs_distances,
     communication_graph,
+    explicit_out,
+    implicit_out,
     initial_configuration,
     is_weakly_connected,
     vouched_ids,
 )
 from linfly.engine import (
     CORRUPTIONS,
+    SUPERVISOR_MODES,
+    TOPOLOGIES,
     _degree_high_water,
-    _monitor,
+    _Monitor,
     Scenario,
     classify_structures,
     is_legal,
@@ -393,9 +397,10 @@ def test_fused_monitors_match_reference_and_public_checks(data):
         st.channel = data.draw(hs.lists(messages, max_size=3))
     source = data.draw(hs.integers(min_value=0, max_value=n - 1))
     target = data.draw(hs.integers(min_value=0, max_value=n - 1))
-    connected, degree, legal, distance = _monitor(cfg, (source, target))
+    # the first reading is run()'s from-scratch path
+    connected, degree, legal, distance = _Monitor(cfg, (source, target)).reading()
     assert (connected, degree, distance) == _reference_monitors(cfg, source, target)
-    assert _monitor(cfg, None) == (connected, degree, legal, None)
+    assert _Monitor(cfg, None).reading() == (connected, degree, legal, None)
     assert connected == is_weakly_connected(cfg)
     assert degree == _degree_high_water(cfg)
     assert legal == is_legal(cfg)
@@ -414,6 +419,25 @@ def test_rounds_preserve_weak_connectivity(n, seed, corruption, supervised):
     for _ in range(8):
         step_round(cfg)
         assert is_weakly_connected(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hs.integers(min_value=4, max_value=40),
+       seed=hs.integers(min_value=0, max_value=10 ** 6),
+       topology=hs.sampled_from(TOPOLOGIES),
+       supervisor=hs.sampled_from(SUPERVISOR_MODES),
+       corruption=hs.sampled_from(CORRUPTIONS))
+def test_round_stats_name_every_node_whose_out_sets_moved(n, seed, topology,
+                                                          supervisor, corruption):
+    cfg, _pair = start(Scenario(n=n, topology=topology, supervisor=supervisor,
+                                corruption=corruption, seed=seed))
+    out, imp = explicit_out(cfg), implicit_out(cfg)
+    for r in range(10):
+        changed = step_round(cfg).changed
+        out_next, imp_next = explicit_out(cfg), implicit_out(cfg)
+        for u in cfg.nodes.keys() - changed:
+            assert (out_next[u], imp_next[u]) == (out[u], imp[u]), (r, u)
+        out, imp = out_next, imp_next
 
 
 @settings(max_examples=60, deadline=None)
