@@ -1,13 +1,32 @@
 """State containers, message payloads, and the communication graph."""
 
+import typing
+
+import pytest
+
 from linfly.core import (
     Advice,
     Base,
     Configuration,
+    FlyConstL,
+    FlyConstR,
     Intro,
+    IntroCert,
+    Message,
+    Neighborhood,
     NodeState,
+    PathMinus,
+    PathPlus,
+    RejFlyover,
+    RequestSnapshot,
     Rev,
+    TestAdvice,
+    TestCert,
     TestFlyID,
+    TestLineL,
+    TestLineR,
+    TestVID,
+    Verified,
     communication_graph,
     explicit_edges,
     explicit_out,
@@ -82,13 +101,44 @@ def test_initial_configuration_mirrors_adjacency():
     assert all(not st.channel for st in cfg.nodes.values())
 
 
-def test_message_id_payloads():
-    assert Rev(dest=3, payload=(1, 2)).ids() == (3, 1, 2)
-    assert Base(payload=(4,)).ids() == (4,)
-    assert TestFlyID(None).ids() == ()
-    assert TestFlyID(2).ids() == (2,)
-    assert Advice(vid=2, c_par=1, c_dist=1, par=9, dist=1).ids() == (9,)
-    assert Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0).ids() == ()
+# one instance of every message class with the exact ids it carries, in
+# order; int and str fields use values that are also valid node ids
+ID_TABLE = [
+    (RejFlyover(), ()),
+    (TestLineR(sender=4), (4,)),
+    (TestLineL(sender=5), (5,)),
+    (FlyConstR(w=6, level=2, sender=1), (6, 1)),
+    (FlyConstL(w=7, level=3, sender=2), (7, 2)),
+    (TestVID(vid=3), ()),
+    (TestFlyID(flyid=2), (2,)),
+    (TestFlyID(flyid=None), ()),
+    (TestCert(origin=8, target_vid=4, dist=1), (8,)),
+    (IntroCert(sender=9), (9,)),
+    (RequestSnapshot(), ()),
+    (Intro(id=10), (10,)),
+    (Neighborhood(members=(1, 3, 5)), (1, 3, 5)),
+    (Neighborhood(members=()), ()),
+    (Advice(vid=2, c_par=1, c_dist=1, par=9, dist=1), (9,)),
+    (Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0), ()),
+    (TestAdvice(dist=2, sender=11), (11,)),
+    (Verified(kind="sib+", id=12), (12,)),
+    (PathPlus(id=13), (13,)),
+    (PathMinus(id=14), (14,)),
+    (Rev(dest=3, payload=(1, 2)), (3, 1, 2)),
+    (Rev(dest=3), (3,)),
+    (Base(payload=(4,)), (4,)),
+    (Base(payload=(4, 0, 4)), (4, 0, 4)),
+]
+
+
+def test_id_table_names_every_message_class():
+    assert {type(msg) for msg, _ in ID_TABLE} == set(typing.get_args(Message))
+
+
+@pytest.mark.parametrize("msg, ids", ID_TABLE, ids=repr)
+def test_message_id_payloads(msg, ids):
+    assert type(msg.ids()) is tuple
+    assert msg.ids() == ids
 
 
 def test_extract_graph_explicit():

@@ -132,6 +132,30 @@ def test_message_strategy_draws_every_class():
                                phases=[Phase.generate]))
 
 
+def reference_ids(msg) -> tuple:
+    """The ids msg carries, read field by field from the annotation strings
+    independently of Message.ids()."""
+    out = []
+    for f in dataclasses.fields(msg):
+        value = getattr(msg, f.name)
+        if f.type == "NodeId":
+            out.append(value)
+        elif f.type == "Optional[NodeId]":
+            if value is not None:
+                out.append(value)
+        elif f.type == "tuple[NodeId, ...]":
+            out.extend(value)
+        else:
+            assert f.type in ("int", "str"), f.type
+    return tuple(out)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(msg=messages)
+def test_ids_follow_field_types(msg):
+    assert msg.ids() == reference_ids(msg)
+
+
 # The order in which a node processes the messages of one class, written out
 # here independently of protocol.SORT_KEYS; classes without fields have none.
 REFERENCE_KEYS = {
