@@ -9,7 +9,14 @@ configuration is legal and stable.
 
 import argparse
 
-from linfly.engine import Scenario, classify_structures, is_legal, start, step_round
+from linfly.engine import (
+    Scenario,
+    classify_structures,
+    default_max_rounds,
+    is_legal,
+    start,
+    step_round,
+)
 
 
 def describe(cfg):
@@ -40,7 +47,7 @@ def main():
     print(f"{args.topology} on {args.n} nodes, honest supervisor\n")
 
     settled = 0
-    for r in range(1, 12 * args.n + 41):
+    for r in range(1, default_max_rounds(args.n) + 1):
         stats = step_round(cfg)
         legal = is_legal(cfg)
         print(f"round {r:3d}  msgs {stats.messages:4d}  "

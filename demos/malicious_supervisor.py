@@ -26,7 +26,7 @@ def main():
     print("-" * len(header))
     for mode in SUPERVISOR_MODES:
         res = run(Scenario(n=args.n, topology=args.topology,
-                           supervisor=mode.replace("_", "-"), seed=args.seed))
+                           supervisor=mode, seed=args.seed))
         m = res.metrics
         print(f"{mode:<12} {str(m.rounds_to_legal):>8} "
               f"{str(m.rounds_to_all_reject):>12} "

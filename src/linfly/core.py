@@ -10,38 +10,34 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
-from typing import Collection, Optional
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
+from typing import Callable, Collection, Optional, get_args
 
 NodeId = int
 
 
 # --- wire messages ---------------------------------------------------------
-# Frozen dataclasses; ids() lists every node id carried by the payload
-# (used for implicit edges and the id-provenance audit). The order in
-# which a node processes the messages of one class is protocol.SORT_KEYS.
+# Frozen dataclasses. ids() lists every node id a message carries (for
+# implicit edges and the id-provenance audit), read off the annotations in
+# field order: NodeId gives its value, Optional[NodeId] its value unless
+# None, tuple[NodeId, ...] its items, int and str nothing; any other
+# annotation raises at import. protocol.SORT_KEYS orders a class's messages.
 
 
 @dataclass(frozen=True, slots=True)
 class RejFlyover:
-    def ids(self) -> tuple[NodeId, ...]:
-        return ()
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class TestLineR:
     sender: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.sender,)
-
 
 @dataclass(frozen=True, slots=True)
 class TestLineL:
     sender: NodeId
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.sender,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,9 +46,6 @@ class FlyConstR:
     level: int
     sender: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.w, self.sender)
-
 
 @dataclass(frozen=True, slots=True)
 class FlyConstL:
@@ -60,24 +53,15 @@ class FlyConstL:
     level: int
     sender: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.w, self.sender)
-
 
 @dataclass(frozen=True, slots=True)
 class TestVID:
     vid: int
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return ()
-
 
 @dataclass(frozen=True, slots=True)
 class TestFlyID:
     flyid: Optional[NodeId]  # None tells receivers there is no flyover here
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return () if self.flyid is None else (self.flyid,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,38 +70,25 @@ class TestCert:
     target_vid: int
     dist: int
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.origin,)
-
 
 @dataclass(frozen=True, slots=True)
 class IntroCert:
     sender: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.sender,)
-
 
 @dataclass(frozen=True, slots=True)
 class RequestSnapshot:
-    def ids(self) -> tuple[NodeId, ...]:
-        return ()
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Intro:
     id: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.id,)
-
 
 @dataclass(frozen=True, slots=True)
 class Neighborhood:
     members: tuple[NodeId, ...]  # sorted snapshot of the sender's memory
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return self.members
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,17 +99,11 @@ class Advice:
     par: Optional[NodeId]
     dist: int
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return () if self.par is None else (self.par,)
-
 
 @dataclass(frozen=True, slots=True)
 class TestAdvice:
     dist: int
     sender: NodeId
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.sender,)
 
 
 VERIFIED_KINDS = ("parent", "sib+", "sib-", "child")
@@ -149,24 +114,15 @@ class Verified:
     kind: str  # one of VERIFIED_KINDS
     id: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.id,)
-
 
 @dataclass(frozen=True, slots=True)
 class PathPlus:
     id: NodeId
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.id,)
-
 
 @dataclass(frozen=True, slots=True)
 class PathMinus:
     id: NodeId
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.id,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,16 +130,10 @@ class Rev:
     dest: NodeId
     payload: tuple[NodeId, ...] = ()
 
-    def ids(self) -> tuple[NodeId, ...]:
-        return (self.dest,) + self.payload
-
 
 @dataclass(frozen=True, slots=True)
 class Base:
     payload: tuple[NodeId, ...]
-
-    def ids(self) -> tuple[NodeId, ...]:
-        return self.payload
 
 
 Message = (
@@ -192,6 +142,30 @@ Message = (
     | Neighborhood | Advice | TestAdvice | Verified | PathPlus | PathMinus
     | Rev | Base
 )
+
+
+def _derive_ids(cls: type) -> Callable[[Message], tuple[NodeId, ...]]:
+    """cls.ids by the rule above, compiled as dataclasses compiles __init__
+    so that a call costs what a hand-written method's does."""
+    terms = []
+    carriers = [f for f in fields(cls) if f.type not in ("int", "str")]
+    for kind, group in groupby(carriers, key=lambda f: f.type):
+        names = [f"self.{f.name}" for f in group]
+        if kind == "NodeId":  # one display: (a, b) is faster than (a,) + (b,)
+            terms.append(f"({', '.join(names)},)")
+        elif kind == "Optional[NodeId]":
+            terms += [f"(() if {n} is None else ({n},))" for n in names]
+        elif kind == "tuple[NodeId, ...]":
+            terms += names
+        else:
+            raise TypeError(f"{cls.__name__}: ids() has no rule for a {kind} field")
+    namespace: dict = {}
+    exec(f"def ids(self):\n    return {' + '.join(terms) or '()'}\n", namespace)
+    return namespace["ids"]
+
+
+for _cls in get_args(Message):
+    _cls.ids = _derive_ids(_cls)
 
 
 def message_to_obj(msg: Message) -> list:

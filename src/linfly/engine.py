@@ -347,7 +347,7 @@ def step_round(config: Configuration) -> RoundStats:
                 if dest not in vouched:
                     bad.add(dest)
                 for v in msg.ids():
-                    if v is not None and v not in vouched:
+                    if v not in vouched:
                         bad.add(v)
             for msg in out.to_supervisor:
                 to_sup.append((u, msg))

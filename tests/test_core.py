@@ -1,6 +1,7 @@
 """State containers, message payloads, and the communication graph."""
 
 import typing
+from dataclasses import dataclass
 
 import pytest
 
@@ -27,6 +28,7 @@ from linfly.core import (
     TestLineR,
     TestVID,
     Verified,
+    _derive_ids,
     communication_graph,
     explicit_edges,
     explicit_out,
@@ -135,10 +137,23 @@ def test_id_table_names_every_message_class():
     assert {type(msg) for msg, _ in ID_TABLE} == set(typing.get_args(Message))
 
 
-@pytest.mark.parametrize("msg, ids", ID_TABLE, ids=repr)
+@pytest.mark.parametrize("msg, ids", ID_TABLE,
+                         ids=lambda v: repr(v).replace(" ", ""))
 def test_message_id_payloads(msg, ids):
     assert type(msg.ids()) is tuple
     assert msg.ids() == ids
+
+
+def test_ids_rule_refuses_an_unlisted_annotation():
+    # ids held in a list would reach neither the provenance audit nor the
+    # implicit edges, so deriving ids() for such a class must fail
+    @dataclass(frozen=True, slots=True)
+    class Batch:
+        sender: "NodeId"
+        members: "list[NodeId]"
+
+    with pytest.raises(TypeError, match=r"list\[NodeId\]"):
+        _derive_ids(Batch)
 
 
 def test_extract_graph_explicit():
