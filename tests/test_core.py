@@ -104,7 +104,8 @@ def test_initial_configuration_mirrors_adjacency():
 
 
 # one instance of every message class with the exact ids it carries, in
-# order; int and str fields use values that are also valid node ids
+# order; int fields hold values that could be node ids, so a rule that
+# read them would fail its row
 ID_TABLE = [
     (RejFlyover(), ()),
     (TestLineR(sender=4), (4,)),
@@ -137,6 +138,7 @@ def test_id_table_names_every_message_class():
     assert {type(msg) for msg, _ in ID_TABLE} == set(typing.get_args(Message))
 
 
+# test ids are the reprs without spaces
 @pytest.mark.parametrize("msg, ids", ID_TABLE,
                          ids=lambda v: repr(v).replace(" ", ""))
 def test_message_id_payloads(msg, ids):
