@@ -13,14 +13,12 @@ from linfly.engine import (
     Scenario,
     classify_structures,
     default_max_rounds,
-    is_legal,
+    rounds,
     start,
-    step_round,
 )
 
 
-def describe(cfg):
-    census = classify_structures(cfg)
+def describe(cfg, census):
     duals = sum(1 for st in cfg.nodes.values() if st.dual)
     parts = [f"{duals} dual"]
     if census.backbones:
@@ -42,18 +40,19 @@ def main():
     parser.add_argument("--topology", default="star")
     args = parser.parse_args()
 
-    cfg, _pair = start(Scenario(n=args.n, topology=args.topology,
-                                supervisor="honest"))
+    cfg, pair = start(Scenario(n=args.n, topology=args.topology,
+                               supervisor="honest"))
     print(f"{args.topology} on {args.n} nodes, honest supervisor\n")
 
     settled = 0
-    for r in range(1, default_max_rounds(args.n) + 1):
-        stats = step_round(cfg)
-        legal = is_legal(cfg)
-        print(f"round {r:3d}  msgs {stats.messages:4d}  "
-              f"{'legal  ' if legal else 'illegal'}  {describe(cfg)}")
-        # keep going a little past legality so the flyover flags show up
+    for r, stats, (_connected, _degree, legal, _distance) in rounds(
+            cfg, pair, default_max_rounds(args.n)):
+        if stats is None:
+            continue
         census = classify_structures(cfg)
+        print(f"round {r:3d}  msgs {stats.messages:4d}  "
+              f"{'legal  ' if legal else 'illegal'}  {describe(cfg, census)}")
+        # keep going a little past legality so the flyover flags show up
         done = census.backbones and census.backbones[0].correctly_configured
         settled = settled + 1 if legal else 0
         if legal and (done or settled >= 12):

@@ -7,16 +7,17 @@ takes a census of linked structures, and decides when a configuration is
 legal, meaning every sorted-consecutive pair shares an explicit edge and
 no node hoards addresses far beyond its target degree.
 
-`start` builds a scenario's start configuration and `run` drives it end
-to end, collecting metrics. It stops at the first legal round; the checks
-it performs every round (connectivity, degree, designated-pair distance,
-provenance) feed the metrics object.
+`start` builds a scenario's start configuration. `rounds` steps one and
+reads connectivity, degree, legality and the designated pair's distance
+after every round, for as long as its caller keeps asking; `run` stops
+it at the first legal round and gathers the readings and each round's
+provenance audit into a metrics object.
 
 A node that repeats a fixed point (same registers, same deliveries) is
 not recomputed: `step_round` replays its stored output and audit
 verdict, which a recomputation would reproduce exactly (see there).
 Unassisted runs spend most node-rounds in such fixed points. Each round
-also names the nodes it changed, so `run` recomputes the out-sets of
+also names the nodes it changed, so `rounds` recomputes the out-sets of
 those nodes only, and the communication graph only when one moved.
 """
 
@@ -26,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Collection, Optional
+from typing import Collection, Iterator, Optional
 
 # communication_graph, explicit_edges and is_weakly_connected are not
 # called here; benchmarks/tracer.py times them as engine attributes
@@ -643,57 +644,47 @@ def _max_degree(out: dict[NodeId, Collection[NodeId]]) -> int:
     return max(map(len, out.values()), default=0)
 
 
-class _Monitor:
-    """run()'s per-round checks: connectivity, explicit degree high-water,
-    legality and the pair's distance (n when apart; None without a pair).
+def rounds(config: Configuration, pair: Optional[tuple[NodeId, NodeId]],
+           max_rounds: int) -> Iterator[tuple[
+               int, Optional[RoundStats], tuple[bool, int, bool, Optional[int]]]]:
+    """Yield (0, None, reading) for config as it is, then step it one round
+    at a time, yielding (r, stats, reading) for r = 1..max_rounds. A round
+    is stepped only when the caller asks for the next item, so the caller
+    decides when to stop. reading is (connected, degree, legal, distance):
+    weak connectivity, explicit degree high-water, legality and the pair's
+    distance (n when apart; None without a pair).
 
-    The first reading builds both out-set maps from every node. After a
-    round, update(changed) recomputes the out-sets of the nodes that
-    step_round reports as changed only, rebuilds the communication graph
-    and reruns the BFS only if one of those sets moved, and rereads degree
-    and legality only if an explicit one did. This holds only while
-    step_round is the one thing that changes the configuration.
+    The start reading builds both out-set maps from every node. After a
+    round only the out-sets of stats.changed are recomputed; the graph is
+    rebuilt and searched only if one moved, and degree and legality reread
+    only if an explicit one did. So step_round must be the one thing that
+    changes config in between.
 
-    The maps live through every step_round, so each out-set is kept as a
-    tuple: on an honest n=1024 run, sets of 20-30 ids took 4.6 MB where
-    tuples take 0.6 MB.
+    The maps live through every step_round, so each out-set is a tuple: on
+    an honest n=1024 run, sets of 20-30 ids took 4.6 MB where tuples take
+    0.6 MB. The graph and its BFS map are released before each yield.
     """
-
-    def __init__(self, config: Configuration,
-                 pair: Optional[tuple[NodeId, NodeId]]):
-        self.config = config
-        self.pair = pair
-        self.out = {u: tuple(vs) for u, vs in explicit_out(config).items()}
-        self.imp = {u: tuple(vs) for u, vs in implicit_out(config).items()}
-        self._explicit_moved()
-        self._graph_moved()
-
-    def reading(self) -> tuple[bool, int, bool, Optional[int]]:
-        return self.connected, self.degree, self.legal, self.distance
-
-    def update(self, changed: set[NodeId]) -> None:
-        nodes, out, imp = self.config.nodes, self.out, self.imp
-        explicit = implicit = False
-        for u in changed:
-            if _keep(out, u, explicit_out_of(nodes, u)):
-                explicit = True
-            if _keep(imp, u, implicit_out_of(nodes, u)):
-                implicit = True
+    out = {u: tuple(vs) for u, vs in explicit_out(config).items()}
+    imp = {u: tuple(vs) for u, vs in implicit_out(config).items()}
+    stats = None
+    explicit = implicit = True
+    for r in range(max_rounds + 1):
+        if r:
+            stats = step_round(config)
+            nodes = config.nodes
+            explicit = implicit = False
+            for u in stats.changed:
+                explicit |= _keep(out, u, explicit_out_of(nodes, u))
+                implicit |= _keep(imp, u, implicit_out_of(nodes, u))
         if explicit:
-            self._explicit_moved()
+            degree, legal = _max_degree(out), _legal(out)
         if explicit or implicit:
-            self._graph_moved()
-
-    def _explicit_moved(self) -> None:
-        self.degree = _max_degree(self.out)
-        self.legal = _legal(self.out)
-
-    def _graph_moved(self) -> None:
-        adj = undirected(self.out, self.imp)
-        pair = self.pair
-        dist = bfs_distances(adj, min(adj) if pair is None else pair[0])
-        self.connected = len(dist) == len(adj)
-        self.distance = None if pair is None else dist.get(pair[1], len(adj))
+            adj = undirected(out, imp)
+            dist = bfs_distances(adj, min(adj) if pair is None else pair[0])
+            connected = len(dist) == len(adj)
+            distance = None if pair is None else dist.get(pair[1], len(adj))
+            del adj, dist
+        yield r, stats, (connected, degree, legal, distance)
 
 
 def _keep(kept: dict[NodeId, tuple], u: NodeId, vs: set[NodeId]) -> bool:
@@ -736,9 +727,10 @@ def _trace_record(config: Configuration, stats: RoundStats, legal: bool,
 def run(scenario: Scenario, trace_path=None) -> RunResult:
     """Execute one scenario until legality or the round budget runs out.
 
-    Connectivity, degree, legality and pair distance come from a _Monitor
-    that reads every node once and is then patched from each round's
-    RoundStats.changed; nothing else touches the configuration here.
+    The rounds and their connectivity, degree, legality and pair-distance
+    readings come from rounds(); run() only gathers them into metrics,
+    tracks when every dual node has rejected since the last advice, and
+    writes the trace.
 
     trace_path, when given, is an open text stream that receives one JSON
     line per round; it is not closed, so callers can interleave several
@@ -751,52 +743,40 @@ def run(scenario: Scenario, trace_path=None) -> RunResult:
 
     metrics = RunMetrics()
     pair_distances: list[int] = []
-
-    monitor = _Monitor(config, pair)
-
-    def observe() -> tuple[bool, bool]:
-        connected, degree, legal, distance = monitor.reading()
-        if not connected:
-            metrics.connectivity_violations += 1
-        metrics.max_degree_seen = max(metrics.max_degree_seen, degree)
-        if distance is not None:
-            pair_distances.append(distance)
-        return connected, legal
-
-    _connected, legal = observe()
-    if legal:
-        metrics.rounds_to_legal = 0
-
     ever_dual: set[NodeId] = set()
     rejected_since: set[NodeId] = set()
     last_advice: Optional[int] = None
     advice_seen = 0
 
-    r = 0
-    while not legal and r < max_rounds:
-        stats = step_round(config)
-        r += 1
-        metrics.messages_per_round.append(stats.messages)
-        metrics.sybil_violations += stats.provenance_violations
-        monitor.update(stats.changed)
-        connected, legal = observe()
-        sup = config.supervisor
-        if sup is not None and len(sup.advice_rounds) > advice_seen:
-            advice_seen = len(sup.advice_rounds)
-            last_advice = r
-            ever_dual = set()
-            rejected_since = set()
-        ever_dual.update(u for u, st in config.nodes.items() if st.dual)
-        rejected_since.update(stats.rejected)
-        if (last_advice is not None and metrics.rounds_to_all_reject is None
-                and ever_dual and ever_dual <= rejected_since
-                and not any(st.dual for st in config.nodes.values())):
-            metrics.rounds_to_all_reject = r - last_advice
+    for r, stats, (connected, degree, legal, distance) in rounds(
+            config, pair, max_rounds):
+        if not connected:
+            metrics.connectivity_violations += 1
+        metrics.max_degree_seen = max(metrics.max_degree_seen, degree)
+        if distance is not None:
+            pair_distances.append(distance)
+        if stats is not None:
+            metrics.messages_per_round.append(stats.messages)
+            metrics.sybil_violations += stats.provenance_violations
+            sup = config.supervisor
+            if sup is not None and len(sup.advice_rounds) > advice_seen:
+                advice_seen = len(sup.advice_rounds)
+                last_advice = r
+                ever_dual = set()
+                rejected_since = set()
+            ever_dual.update(u for u, st in config.nodes.items() if st.dual)
+            rejected_since.update(stats.rejected)
+            if (last_advice is not None
+                    and metrics.rounds_to_all_reject is None
+                    and ever_dual and ever_dual <= rejected_since
+                    and not any(st.dual for st in config.nodes.values())):
+                metrics.rounds_to_all_reject = r - last_advice
+            if trace_path is not None:
+                trace_path.write(json.dumps(_trace_record(
+                    config, stats, legal, connected)) + "\n")
         if legal:
             metrics.rounds_to_legal = r
-        if trace_path is not None:
-            trace_path.write(json.dumps(_trace_record(config, stats, legal,
-                                                      connected)) + "\n")
+            break
 
     sup = config.supervisor
     return RunResult(

@@ -15,7 +15,8 @@ from linfly.engine import (
     TOPOLOGIES,
     Scenario,
     classify_structures,
-    is_legal,
+    default_max_rounds,
+    rounds,
     run,
     seed_backbone,
     seed_flyover,
@@ -86,22 +87,24 @@ def test_criterion_04_malicious_advice_rejected_in_time():
         deadline = 16 * _log2ceil(n)
         cap = 8 * n + deadline
         for seed in range(20):
-            cfg, _pair = start(Scenario(n=n, supervisor=strategy, seed=seed))
+            cfg, pair = start(Scenario(n=n, supervisor=strategy, seed=seed))
             became = {}
             rejected_at = {}
             legal_at = None
-            r = 0
-            while r < cap:
-                if is_legal(cfg):
+            # legality is read at rounds 0..cap-1
+            for r, stats, reading in rounds(cfg, pair, cap - 1):
+                connected, _degree, legal, _distance = reading
+                assert connected, (strategy, n, seed, r)
+                if stats is not None:
+                    assert stats.provenance_violations == 0, (strategy, n, seed, r)
+                    for u, node in cfg.nodes.items():
+                        if node.dual and u not in became:
+                            became[u] = r
+                    for u in stats.rejected:
+                        rejected_at.setdefault(u, r)
+                if legal:
                     legal_at = r
                     break
-                stats = step_round(cfg)
-                r += 1
-                for u, node in cfg.nodes.items():
-                    if node.dual and u not in became:
-                        became[u] = r
-                for u in stats.rejected:
-                    rejected_at.setdefault(u, r)
             assert legal_at is not None, (strategy, n, seed)
             for u, entered in became.items():
                 rej = rejected_at.get(u)
@@ -113,6 +116,34 @@ def test_criterion_04_malicious_advice_rejected_in_time():
                 assert legal_at <= entered + deadline, (strategy, n, seed, u)
     print(f"criterion 4: all dual nodes rejected or settled in time, "
           f"worst rejection lag {worst_lag}")
+
+
+def test_closure_legal_configurations_stay_legal():
+    # the other half of self-stabilization: once legal, a run stays legal,
+    # connected and clean for 4n more rounds
+    runs = 0
+    for topology, mode, n, seed in itertools.product(
+            TOPOLOGIES, SUPERVISOR_MODES, (8, 16), (0, 1)):
+        cfg, pair = start(Scenario(n=n, topology=topology, supervisor=mode,
+                                   seed=seed))
+        legal_at = None
+        budget = default_max_rounds(n) + 4 * n
+        for r, stats, reading in rounds(cfg, pair, budget):
+            connected, _degree, legal, _distance = reading
+            where = (topology, mode, n, seed, r, legal_at)
+            assert connected, where
+            assert stats is None or stats.provenance_violations == 0, where
+            if legal_at is None and legal:
+                legal_at = r
+            if legal_at is not None:
+                assert legal, where
+                if r == legal_at + 4 * n:
+                    break
+        assert legal_at is not None and r == legal_at + 4 * n, where
+        runs += 1
+    assert runs == 160
+    print(f"closure: {runs} runs stayed legal, connected and clean "
+          f"for 4n rounds past legality")
 
 
 def test_criterion_05_provenance_clean_and_control_dirty(monkeypatch):

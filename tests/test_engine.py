@@ -35,6 +35,7 @@ from linfly.engine import (
     inject_faults,
     is_legal,
     make_topology,
+    rounds,
     run,
     seed_backbone,
     seed_flyover,
@@ -603,27 +604,27 @@ def test_run_trace_file(tmp_path):
 @pytest.mark.parametrize("supervisor", SUPERVISOR_MODES)
 @pytest.mark.parametrize("topology", ["far_pair", "random_connected"])
 def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor):
-    # run() patches its monitor from the nodes each round changed; every
-    # round its connectivity, degree, legality and pair distance must equal
-    # the standalone public functions (the replay test's grid, where
+    # rounds() patches its readings from the nodes each round changed;
+    # every round its connectivity, degree, legality and pair distance must
+    # equal the standalone public functions (the replay test's grid, where
     # fixed-point rounds replay)
     inject = engine.inject_faults
+    real_rounds = engine.rounds
     pair = (15, 16) if topology == "far_pair" else None
     seen = []
 
-    class Checked(engine._Monitor):
-        def reading(self):
-            got = super().reading()
-            config = self.config
+    def checked_rounds(config, pair_, max_rounds):
+        for r, stats, got in real_rounds(config, pair_, max_rounds):
             dist = None
             if pair is not None:
                 dist = bfs_distances(communication_graph(config), pair[0]).get(
                     pair[1], len(config.nodes))
             assert got == (is_weakly_connected(config),
                            _degree_high_water(config), is_legal(config),
-                           dist), (corruption, len(seen))
+                           dist), (corruption, r)
+            assert r == len(seen) == config.round_no
             seen.append(got)
-            return got
+            yield r, stats, got
 
     def inject_and_pollute(config, corruption, seed):
         # every third channel also names an absent node, the receiver
@@ -638,7 +639,7 @@ def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor)
         return config
 
     monkeypatch.setattr(engine, "inject_faults", inject_and_pollute)
-    monkeypatch.setattr(engine, "_Monitor", Checked)
+    monkeypatch.setattr(engine, "rounds", checked_rounds)
     for corruption in CORRUPTIONS:
         seen.clear()
         buf = io.StringIO()
@@ -655,6 +656,21 @@ def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor)
         assert m.rounds_to_legal == next(
             (r for r, (*_, legal, _p) in enumerate(seen) if legal), None)
         assert res.pair_distances == [p for *_, p in seen if p is not None]
+
+
+def test_rounds_steps_only_when_asked():
+    cfg, _pair = start(Scenario(n=8, topology="star", supervisor="honest"))
+    items = list(rounds(cfg, None, 3))
+    assert [r for r, _stats, _reading in items] == [0, 1, 2, 3]
+    assert [stats is None for _r, stats, _reading in items] == [
+        True, False, False, False]
+    assert all(isinstance(stats, RoundStats) for _r, stats, _ in items[1:])
+    assert cfg.round_no == 3
+    # nothing is stepped ahead of the item the caller takes
+    cfg, _pair = start(Scenario(n=8, topology="star", supervisor="honest"))
+    for r, _stats, _reading in rounds(cfg, None, 3):
+        break
+    assert (r, cfg.round_no) == (0, 0)
 
 
 def test_run_is_deterministic():

@@ -42,10 +42,10 @@ from linfly.engine import (
     SUPERVISOR_MODES,
     TOPOLOGIES,
     _degree_high_water,
-    _Monitor,
     Scenario,
     classify_structures,
     is_legal,
+    rounds,
     start,
     step_round,
 )
@@ -421,10 +421,11 @@ def test_fused_monitors_match_reference_and_public_checks(data):
         st.channel = data.draw(hs.lists(messages, max_size=3))
     source = data.draw(hs.integers(min_value=0, max_value=n - 1))
     target = data.draw(hs.integers(min_value=0, max_value=n - 1))
-    # the first reading is run()'s from-scratch path
-    connected, degree, legal, distance = _Monitor(cfg, (source, target)).reading()
+    # the start reading is rounds()'s from-scratch path
+    _r, _stats, reading = next(rounds(cfg, (source, target), 0))
+    connected, degree, legal, distance = reading
     assert (connected, degree, distance) == _reference_monitors(cfg, source, target)
-    assert _Monitor(cfg, None).reading() == (connected, degree, legal, None)
+    assert next(rounds(cfg, None, 0))[2] == (connected, degree, legal, None)
     assert connected == is_weakly_connected(cfg)
     assert degree == _degree_high_water(cfg)
     assert legal == is_legal(cfg)
