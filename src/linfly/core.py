@@ -22,7 +22,11 @@ NodeId = int
 # implicit edges and the id-provenance audit), read off the annotations in
 # field order: NodeId gives its value, Optional[NodeId] its value unless
 # None, tuple[NodeId, ...] its items, int and str nothing; any other
-# annotation raises at import. protocol.SORT_KEYS orders a class's messages.
+# annotation raises at import. A class with fields gets a derived __init__
+# with the dataclass's parameters, defaults and annotations that stores
+# each field through its slot's descriptor; frozenness, equality, hashing,
+# repr, pickling and replace() stay the dataclass's own.
+# protocol.SORT_KEYS orders a class's messages.
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,8 +168,26 @@ def _derive_ids(cls: type) -> Callable[[Message], tuple[NodeId, ...]]:
     return namespace["ids"]
 
 
+def _derive_init(cls: type) -> Callable[..., None]:
+    """cls.__init__ as dataclasses generates it, but storing each field
+    through its slot's member descriptor instead of object.__setattr__,
+    which a frozen class's own uses at about twice the cost per field."""
+    generated = cls.__init__
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    init.__qualname__ = generated.__qualname__
+    return init
+
+
 for _cls in get_args(Message):
     _cls.ids = _derive_ids(_cls)
+    if fields(_cls):
+        _cls.__init__ = _derive_init(_cls)
 
 
 def message_to_obj(msg: Message) -> list:

@@ -19,10 +19,15 @@ verdict, which a recomputation would reproduce exactly (see there).
 Unassisted runs spend most node-rounds in such fixed points. Each round
 also names the nodes it changed, so `rounds` recomputes the out-sets of
 those nodes only, and the communication graph only when one moved.
+
+`step_round` also pauses the cyclic garbage collector for the round,
+whose allocations form no cycles (see there); it is the one place the
+library touches the collector.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass, field
@@ -290,98 +295,115 @@ def step_round(config: Configuration) -> RoundStats:
     whose new channel differs from the one it consumed: no other node's
     explicit or implicit out-set moved. They depend on outcomes only, so
     a replayed round and its recomputation return equal statistics.
+
+    Automatic garbage collection is paused for the round and the caller's
+    setting restored on the way out, also when node_round raises. The
+    messages, sends and channels a round allocates hold only ids, None,
+    strings and one another and form no cycle, so the scans the collector
+    would run within a round find nothing (tests/test_engine.py checks
+    that a round leaves nothing to collect). The pause lives here rather
+    than in rounds() or run(), so that every caller that steps a
+    configuration gets it; the library touches the collector nowhere
+    else. Between rounds it runs at its normal thresholds, so a cycle
+    made in a round or outside one is still collected.
     """
-    nodes = config.nodes
-    deliveries = {u: list(st.channel) for u, st in nodes.items()}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nodes = config.nodes
+        deliveries = {u: list(st.channel) for u, st in nodes.items()}
 
-    if config.supervisor is not None:
-        attentive = {u for u, st in nodes.items() if st.attentive}
-        config.supervisor, outbound = honest_step(
-            config.supervisor, config.sup_inbox, attentive)
-        for u, msg in outbound:
-            if u in deliveries:
-                deliveries[u].append(msg)
-    config.sup_inbox = []
+        if config.supervisor is not None:
+            attentive = {u for u, st in nodes.items() if st.attentive}
+            config.supervisor, outbound = honest_step(
+                config.supervisor, config.sup_inbox, attentive)
+            for u, msg in outbound:
+                if u in deliveries:
+                    deliveries[u].append(msg)
+        config.sup_inbox = []
 
-    pending: dict[NodeId, list] = {u: [] for u in nodes}
-    to_sup: list = []
-    n_messages = 0
-    violations = 0
-    rejected: set[NodeId] = set()
-    changed: set[NodeId] = set()
-    replay = config.replay
-    # (node, channel it consumed, candidate entry or None when replayed):
-    # each node here keeps its registers and is unchanged if its channel
-    # comes back equal
-    same_registers: list = []
-    round_fn = node_round
+        pending: dict[NodeId, list] = {u: [] for u in nodes}
+        to_sup: list = []
+        n_messages = 0
+        violations = 0
+        rejected: set[NodeId] = set()
+        changed: set[NodeId] = set()
+        replay = config.replay
+        # (node, channel it consumed, candidate entry or None when replayed):
+        # each node here keeps its registers and is unchanged if its channel
+        # comes back equal
+        same_registers: list = []
+        round_fn = node_round
 
-    for u in sorted(nodes):
-        st = nodes[u]
-        delivered = deliveries[u]
-        before = st.registers()
-        entry = replay.get(u)
-        if (entry is not None and entry[0] is round_fn
-                and entry[1] == before and entry[2] == delivered):
-            out = entry[3]
-            for dest, msg in out.sends:
-                if dest in pending:
-                    pending[dest].append(msg)
-            for msg in out.to_supervisor:
-                to_sup.append((u, msg))
-            violations += entry[4]
-            same_registers.append((u, st.channel, None))
-        else:
-            channel = st.channel
-            vouched = st.address_ids()
-            vouched |= vouched_ids(delivered)
-            vouched.add(u)
-            st, out = round_fn(st, delivered)
-            nodes[u] = st
-            # one pass over the sends routes and audits them; per-id
-            # membership tests beat set unions here, since most messages
-            # carry one id
-            bad = st.address_ids() - vouched
-            for dest, msg in out.sends:
-                if dest in pending:
-                    pending[dest].append(msg)
-                if dest not in vouched:
-                    bad.add(dest)
-                for v in msg.ids():
-                    if v not in vouched:
-                        bad.add(v)
-            for msg in out.to_supervisor:
-                to_sup.append((u, msg))
-                for v in msg.ids():
-                    if v not in vouched:
-                        bad.add(v)
-            violations += len(bad)
-            # a candidate for replay must get this channel again; the
-            # senders already stepped have queued a prefix of it, and
-            # testing that now marks most changed channels at once and
-            # spares holding the outputs of most non-candidates to the
-            # end of the round
-            head = pending[u]
-            if st.registers() != before or head != channel[:len(head)]:
-                changed.add(u)
+        for u in sorted(nodes):
+            st = nodes[u]
+            delivered = deliveries[u]
+            before = st.registers()
+            entry = replay.get(u)
+            if (entry is not None and entry[0] is round_fn
+                    and entry[1] == before and entry[2] == delivered):
+                out = entry[3]
+                for dest, msg in out.sends:
+                    if dest in pending:
+                        pending[dest].append(msg)
+                for msg in out.to_supervisor:
+                    to_sup.append((u, msg))
+                violations += entry[4]
+                same_registers.append((u, st.channel, None))
             else:
-                same_registers.append(
-                    (u, channel, (round_fn, before, delivered, out, len(bad))))
-        if out.did_reject:
-            rejected.add(u)
-        n_messages += len(out.sends) + len(out.to_supervisor)
+                channel = st.channel
+                vouched = st.address_ids()
+                vouched |= vouched_ids(delivered)
+                vouched.add(u)
+                st, out = round_fn(st, delivered)
+                nodes[u] = st
+                # one pass over the sends routes and audits them; per-id
+                # membership tests beat set unions here, since most messages
+                # carry one id
+                bad = st.address_ids() - vouched
+                for dest, msg in out.sends:
+                    if dest in pending:
+                        pending[dest].append(msg)
+                    if dest not in vouched:
+                        bad.add(dest)
+                    for v in msg.ids():
+                        if v not in vouched:
+                            bad.add(v)
+                for msg in out.to_supervisor:
+                    to_sup.append((u, msg))
+                    for v in msg.ids():
+                        if v not in vouched:
+                            bad.add(v)
+                violations += len(bad)
+                # a candidate for replay must get this channel again; the
+                # senders already stepped have queued a prefix of it, and
+                # testing that now marks most changed channels at once and
+                # spares holding the outputs of most non-candidates to the
+                # end of the round
+                head = pending[u]
+                if st.registers() != before or head != channel[:len(head)]:
+                    changed.add(u)
+                else:
+                    same_registers.append(
+                        (u, channel, (round_fn, before, delivered, out, len(bad))))
+            if out.did_reject:
+                rejected.add(u)
+            n_messages += len(out.sends) + len(out.to_supervisor)
 
-    for u, channel, entry in same_registers:
-        if pending[u] != channel:
-            changed.add(u)
-        elif entry is not None:
-            replay[u] = entry
-    for u, st in nodes.items():
-        st.channel = pending[u]
-    config.sup_inbox = to_sup
-    config.round_no += 1
-    return RoundStats(messages=n_messages, rejected=rejected,
-                      provenance_violations=violations, changed=changed)
+        for u, channel, entry in same_registers:
+            if pending[u] != channel:
+                changed.add(u)
+            elif entry is not None:
+                replay[u] = entry
+        for u, st in nodes.items():
+            st.channel = pending[u]
+        config.sup_inbox = to_sup
+        config.round_no += 1
+        return RoundStats(messages=n_messages, rejected=rejected,
+                          provenance_violations=violations, changed=changed)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- structure census -------------------------------------------------------

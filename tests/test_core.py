@@ -1,7 +1,18 @@
 """State containers, message payloads, and the communication graph."""
 
+import copy
+import inspect
+import pickle
 import typing
-from dataclasses import dataclass
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    dataclass,
+    field,
+    fields,
+    make_dataclass,
+    replace,
+)
 
 import pytest
 
@@ -27,6 +38,7 @@ from linfly.core import (
     TestLineL,
     TestLineR,
     TestVID,
+    VERIFIED_KINDS,
     Verified,
     _derive_ids,
     communication_graph,
@@ -156,6 +168,97 @@ def test_ids_rule_refuses_an_unlisted_annotation():
 
     with pytest.raises(TypeError, match=r"list\[NodeId\]"):
         _derive_ids(Batch)
+
+
+# --- derived constructors ----------------------------------------------------
+
+
+def _field_values(cls, offset: int = 0) -> list:
+    """One value per field of cls, of the field's type; no two fields of a
+    class hold equal values, so a constructor that swapped two shows."""
+    sample = {
+        "NodeId": lambda i: 10 + i,
+        "int": lambda i: 20 + i,
+        "Optional[NodeId]": lambda i: 30 + i,
+        "tuple[NodeId, ...]": lambda i: (40 + i, 50 + i),
+        "str": lambda i: VERIFIED_KINDS[i % len(VERIFIED_KINDS)],
+    }
+    return [sample[f.type](i + offset) for i, f in enumerate(fields(cls))]
+
+
+def _twin(cls) -> type:
+    """A plain frozen, slotted dataclass with cls's fields and defaults."""
+    specs = [(f.name, f.type) if f.default is MISSING
+             else (f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    return make_dataclass(cls.__name__, specs, frozen=True, slots=True)
+
+
+each_message_class = pytest.mark.parametrize(
+    "cls", typing.get_args(Message), ids=lambda cls: cls.__name__)
+
+
+@each_message_class
+def test_derived_init_keeps_the_dataclass_signature(cls):
+    names = tuple(f.name for f in fields(cls))
+    assert inspect.signature(cls) == inspect.signature(_twin(cls))
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__match_args__ == names
+    # the constructor stores through the slots; a class without fields
+    # keeps the dataclass's own, which stores nothing
+    assert cls.__init__.__code__.co_names == tuple(f"_set_{n}" for n in names)
+
+
+@each_message_class
+def test_derived_init_stores_each_field(cls):
+    values = _field_values(cls)
+    names = [f.name for f in fields(cls)]
+    msg = cls(*values)
+    assert [getattr(msg, n) for n in names] == values
+    assert cls(**dict(zip(names, values))) == msg
+    twin = _twin(cls)(*values)
+    assert repr(msg) == repr(twin)
+    assert hash(msg) == hash(twin)
+
+
+@each_message_class
+def test_derived_init_refuses_missing_and_unknown_arguments(cls):
+    values = _field_values(cls)
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    if required:
+        with pytest.raises(TypeError, match=required[-1]):
+            cls(*values[:len(required) - 1])
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match="bogus"):
+        cls(*values, bogus=0)
+    if names:
+        with pytest.raises(TypeError, match=names[0]):
+            cls(*values, **{names[0]: values[0]})
+
+
+@each_message_class
+def test_derived_init_keeps_messages_frozen(cls):
+    msg = cls(*_field_values(cls))
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(msg, f.name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(msg, f.name)
+
+
+@each_message_class
+def test_messages_survive_copy_pickle_and_replace(cls):
+    values = _field_values(cls)
+    msg = cls(*values)
+    for other in (copy.copy(msg), copy.deepcopy(msg),
+                  pickle.loads(pickle.dumps(msg))):
+        assert type(other) is cls
+        assert other == msg and hash(other) == hash(msg)
+    others = _field_values(cls, offset=5)
+    names = [f.name for f in fields(cls)]
+    assert replace(msg, **dict(zip(names, others))) == cls(*others)
+    assert msg == cls(*values)
 
 
 def test_extract_graph_explicit():

@@ -1,10 +1,12 @@
 """Engine-level tests: topologies, fault injection, stepping, census, runs."""
 
 import dataclasses
+import gc
 import io
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -240,6 +242,74 @@ def test_exit_spreads_through_flyover():
         if len(rejected) == 8:
             break
     assert rejected == set(range(8))
+
+
+# --- the collector pause -----------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+def collector(request):
+    """Switch automatic collection on or off for one test, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_step_round_pauses_the_collector_and_restores_it(monkeypatch, collector):
+    seen = []
+    real = engine.node_round
+
+    def watched(state, delivered):
+        seen.append(gc.isenabled())
+        return real(state, delivered)
+
+    monkeypatch.setattr(engine, "node_round", watched)
+    step_round(_path_config(4))
+    assert seen == [False] * 4
+    assert gc.isenabled() is collector
+
+
+def test_step_round_restores_the_collector_when_node_round_raises(monkeypatch,
+                                                                 collector):
+    def broken(state, delivered):
+        raise RuntimeError("broken round")
+
+    monkeypatch.setattr(engine, "node_round", broken)
+    with pytest.raises(RuntimeError, match="broken round"):
+        step_round(_path_config(4))
+    assert gc.isenabled() is collector
+
+
+# every supervisor mode under every corruption at n=16, and one honest run
+# at n=256
+GARBAGE_FREE = [Scenario(n=16, supervisor=mode, corruption=corruption, seed=seed)
+                for seed, (mode, corruption)
+                in enumerate(product(SUPERVISOR_MODES, CORRUPTIONS))]
+GARBAGE_FREE.append(Scenario(n=256))
+
+
+@pytest.mark.parametrize("scenario", GARBAGE_FREE,
+                         ids=lambda sc: f"{sc.supervisor}-{sc.corruption}-n{sc.n}")
+def test_rounds_leave_nothing_for_the_collector(scenario):
+    # the premise of step_round's pause: the objects a round makes form no
+    # cycle, so collecting after each round finds nothing. A failure here
+    # means the pause is wrong, not this test.
+    was = gc.isenabled()
+    gc.disable()
+    # the objects that exist before the run are set aside, so that each
+    # collection searches only what the run made
+    gc.freeze()
+    try:
+        config, _pair = start(scenario)
+        gc.collect()
+        for r in range(1, 2 * scenario.n + 1):
+            step_round(config)
+            assert gc.collect() == 0, f"round {r}"
+    finally:
+        gc.unfreeze()
+        if was:
+            gc.enable()
 
 
 # --- replay of quiescent node-rounds -----------------------------------------

@@ -156,6 +156,18 @@ def test_ids_follow_field_types(msg):
     assert msg.ids() == reference_ids(msg)
 
 
+@given(data=hs.data())
+def test_message_fields_read_back_what_was_passed(data):
+    # each class's derived __init__ stores every argument in its own field,
+    # passed by position or by name
+    cls = data.draw(hs.sampled_from(MESSAGE_CLASSES))
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [data.draw(FIELD_STRATEGIES[f.type]) for f in dataclasses.fields(cls)]
+    msg = cls(*values)
+    assert [getattr(msg, n) for n in names] == values
+    assert cls(**dict(zip(names, values))) == msg
+
+
 # The order in which a node processes the messages of one class, written out
 # here independently of protocol.SORT_KEYS; classes without fields have none.
 REFERENCE_KEYS = {
