@@ -15,7 +15,9 @@ grid of 4 corruptions x {random_connected, far_pair} x n in {8, 32}:
 The grid stops at n=32, where an unsupervised run is short. LONG_DIGESTS
 pins the rounds digest of two longer unsupervised runs, uncorrupted, at
 the same seed: `far_pair` n=96 (146 rounds) and `random_connected`
-n=128 (22 rounds).
+n=128 (22 rounds). SEED_DIGEST pins the seeded structures: the
+`dumps()` of `seed_backbone` and `seed_flyover` on 1..64 ids, dense and
+sparse.
 
 A digest changes only when behaviour does. Regenerating them is a
 deliberate act: run
@@ -42,6 +44,8 @@ from linfly.engine import (
     default_max_rounds,
     is_legal,
     run,
+    seed_backbone,
+    seed_flyover,
     start,
     step_round,
 )
@@ -90,6 +94,8 @@ LONG_DIGESTS = {
     ("random_connected", 128): "9db48a89af077c8cd1b9d9d633a6e325c034e8e19d386eaf7679a63037bb76a7",
 }
 
+SEED_DIGEST = "f682746819da7110915603557e981fefa9f4425e68093793d19906300545fffe"
+
 
 def _grid():
     return itertools.product(CORRUPTIONS, TOPOLOGIES, SIZES)
@@ -116,6 +122,17 @@ def round_digest(mode: str) -> str:
 def long_digest(topology: str, n: int) -> str:
     h = hashlib.sha256()
     _hash_rounds(h, "none", "none", topology, n)
+    return h.hexdigest()
+
+
+def seed_digest() -> str:
+    # two id layouts per size: 0..m-1, and sparse ids handed over in
+    # descending order
+    h = hashlib.sha256()
+    for m in range(1, 65):
+        for ids in (list(range(m)), [3 * x + 7 for x in range(m)][::-1]):
+            h.update(seed_backbone(ids).dumps().encode())
+            h.update(seed_flyover(ids).dumps().encode())
     return h.hexdigest()
 
 
@@ -165,6 +182,10 @@ def test_cli_digest(mode):
     assert cli_digest(mode) == CLI_DIGESTS[mode]
 
 
+def test_seed_digest():
+    assert seed_digest() == SEED_DIGEST
+
+
 @pytest.mark.parametrize("topology,n", LONG_DIGESTS)
 def test_long_unsupervised_digest(topology, n):
     assert long_digest(topology, n) == LONG_DIGESTS[(topology, n)]
@@ -181,4 +202,5 @@ if __name__ == "__main__":
     print("LONG_DIGESTS = {")
     for topology, n in LONG_DIGESTS:
         print(f'    ("{topology}", {n}): "{long_digest(topology, n)}",')
-    print("}")
+    print("}\n")
+    print(f'SEED_DIGEST = "{seed_digest()}"')
