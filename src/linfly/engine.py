@@ -7,18 +7,21 @@ takes a census of linked structures, and decides when a configuration is
 legal, meaning every sorted-consecutive pair shares an explicit edge and
 no node hoards addresses far beyond its target degree.
 
-`start` builds a scenario's start configuration. `rounds` steps one and
-reads connectivity, degree, legality and the designated pair's distance
-after every round, for as long as its caller keeps asking; `run` stops
-it at the first legal round and gathers the readings and each round's
-provenance audit into a metrics object.
+`start` builds a scenario's start configuration, and `seed_backbone`
+and `seed_flyover` standing structures, primed by a `step_round` of a
+copy. `rounds` steps a configuration and reads connectivity, degree,
+legality and the designated pair's distance after every round, for as
+long as its caller keeps asking; `run` stops it at the first legal
+round and gathers the readings and each round's provenance audit into a
+metrics object.
 
 A node that repeats a fixed point (same registers, same deliveries) is
 not recomputed: `step_round` replays its stored output and audit
 verdict, which a recomputation would reproduce exactly (see there).
 Unassisted runs spend most node-rounds in such fixed points. Each round
 also names the nodes it changed, so `rounds` recomputes the out-sets of
-those nodes only, and the communication graph only when one moved.
+those nodes only (every node's for the start reading), and the
+communication graph only when one moved.
 
 `step_round` also pauses the cyclic garbage collector for the round,
 whose allocations form no cycles (see there); it is the one place the
@@ -54,25 +57,22 @@ from .core import (
     explicit_edges,
     explicit_out,
     explicit_out_of,
-    implicit_out,
     implicit_out_of,
     initial_configuration,
     is_weakly_connected,
     undirected,
     vouched_ids,
 )
-from .protocol import node_round as _protocol_node_round
+# node_round is a rebindable hook: tests swap in a broken round function
+# to prove the provenance audit actually fires on misbehaving nodes. A
+# round function must not mutate its delivered list: replay keys on it.
+from .protocol import node_round
 from .supervisor import STRATEGIES, honest_step, make_supervisor
 from .ttp import decode_pruefer
 
 CORRUPTIONS = ("none", "garbage_flyover_vars", "stale_channel_messages", "all")
 
 SUPERVISOR_MODES = ("honest", "none") + STRATEGIES
-
-# Rebindable hook: tests swap in a broken round function to prove the
-# provenance audit actually fires on misbehaving nodes. A round function
-# must not mutate its delivered list: replay keys on it.
-node_round = _protocol_node_round
 
 
 # --- scenarios and metrics --------------------------------------------------
@@ -579,23 +579,12 @@ def distance_floor_check(result: RunResult) -> bool:
 # --- seeded structures ------------------------------------------------------
 
 
-def _prime_channels(config: Configuration) -> Configuration:
-    """Fill channels as a running steady state would have them: every
-    node's previous-round emissions are already in flight."""
-    sends: dict[NodeId, list] = {u: [] for u in config.nodes}
-    for u in sorted(config.nodes):
-        _st, out = _protocol_node_round(config.nodes[u].clone(), [])
-        for dest, msg in out.sends:
-            if dest in sends:
-                sends[dest].append(msg)
-    for u, st in config.nodes.items():
-        st.channel = sends[u]
-    return config
-
-
-def seed_backbone(ids) -> Configuration:
-    """Standing chain of mutual level-1 shortcuts over the sorted ids,
-    with settled virtual ids, certificates, and in-flight traffic."""
+def _seed(ids, top: Optional[int]) -> Configuration:
+    """Chain over the sorted ids with doubling levels 1..top on each side
+    (all when top is None); virtual ids and certificates are settled, and
+    base memory holds the level-1 neighbours. The channels hold what one
+    step_round of a copy sends, through the node_round hook: in flight,
+    as in a running steady state."""
     ids = sorted(ids)
     m = len(ids)
     nodes = {}
@@ -605,31 +594,29 @@ def seed_backbone(ids) -> Configuration:
         st.flyid = ids[0]
         st.dist = i
         st.c_dist = i
-        if i > 0:
-            st.L = [ids[i - 1]]
-            st.c_par = i
-        if i + 1 < m:
-            st.R = [ids[i + 1]]
-        st.c_ids = st.S
-        st.base_mem = st.S
+        st.c_par = i
+        st.R = [ids[i + (1 << j)] for j in range((m - 1 - i).bit_length())][:top]
+        st.L = [ids[i - (1 << j)] for j in range(i.bit_length())][:top]
+        st.c_ids = set(st.L[:1]) | set(st.R[:1])
+        st.base_mem = set(st.c_ids)
         nodes[u] = st
-    return _prime_channels(Configuration(nodes=nodes))
+    config = Configuration(nodes=nodes)
+    primed = config.clone()
+    step_round(primed)
+    for u, st in nodes.items():
+        st.channel = primed.nodes[u].channel
+    return config
+
+
+def seed_backbone(ids) -> Configuration:
+    """Standing chain of mutual level-1 shortcuts over the sorted ids."""
+    return _seed(ids, 1)
 
 
 def seed_flyover(ids) -> Configuration:
     """Complete shortcut hierarchy over the sorted ids: every doubling
-    level present and mutual, certificates settled, traffic in flight."""
-    config = seed_backbone(ids)
-    ids = sorted(ids)
-    m = len(ids)
-    for i, u in enumerate(ids):
-        p = i + 1
-        st = config.nodes[u]
-        st.R = [ids[i + (1 << (j - 1))]
-                for j in range(1, (m - p).bit_length() + 1)]
-        st.L = [ids[i - (1 << (j - 1))]
-                for j in range(1, (p - 1).bit_length() + 1)]
-    return _prime_channels(config)
+    level present and mutual."""
+    return _seed(ids, None)
 
 
 # --- scenario driver --------------------------------------------------------
@@ -676,28 +663,28 @@ def rounds(config: Configuration, pair: Optional[tuple[NodeId, NodeId]],
     weak connectivity, explicit degree high-water, legality and the pair's
     distance (n when apart; None without a pair).
 
-    The start reading builds both out-set maps from every node. After a
-    round only the out-sets of stats.changed are recomputed; the graph is
-    rebuilt and searched only if one moved, and degree and legality reread
-    only if an explicit one did. So step_round must be the one thing that
-    changes config in between.
+    Both out-set maps start empty, and the start reading fills them with
+    the update every round uses, over every node. After a round only the
+    out-sets of stats.changed are recomputed; the graph is rebuilt and
+    searched only if one moved, and degree and legality reread only if an
+    explicit one did. So step_round must be the one thing that changes
+    config in between.
 
     The maps live through every step_round, so each out-set is a tuple: on
     an honest n=1024 run, sets of 20-30 ids took 4.6 MB where tuples take
     0.6 MB. The graph and its BFS map are released before each yield.
     """
-    out = {u: tuple(vs) for u, vs in explicit_out(config).items()}
-    imp = {u: tuple(vs) for u, vs in implicit_out(config).items()}
+    out = dict.fromkeys(config.nodes, ())
+    imp = dict.fromkeys(config.nodes, ())
     stats = None
-    explicit = implicit = True
     for r in range(max_rounds + 1):
         if r:
             stats = step_round(config)
-            nodes = config.nodes
-            explicit = implicit = False
-            for u in stats.changed:
-                explicit |= _keep(out, u, explicit_out_of(nodes, u))
-                implicit |= _keep(imp, u, implicit_out_of(nodes, u))
+        nodes = config.nodes
+        explicit = implicit = not r
+        for u in stats.changed if r else nodes:
+            explicit |= _keep(out, u, explicit_out_of(nodes, u))
+            implicit |= _keep(imp, u, implicit_out_of(nodes, u))
         if explicit:
             degree, legal = _max_degree(out), _legal(out)
         if explicit or implicit:

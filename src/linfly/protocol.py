@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
+from typing import Collection, Optional
 
 from .baseline import base_step, flush
 from .core import (
@@ -151,10 +151,7 @@ def _basic_checks(st: NodeState, rejected: bool) -> None:
 def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
     if st.exit != 1:
         return
-    flyids = (st.S | {st.flyid} | st.c_ids) - {st.id}
-    for v in sorted(flyids):
-        out.sends.append((v, RejFlyover()))
-    flush(st.base_mem, flyids, st.id)
+    _refuse(st, st.S | {st.flyid} | st.c_ids, out)
     st.L = []
     st.R = []
     st.vid = 0
@@ -166,7 +163,7 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
     out.did_reject = True
 
 
-def _refuse(st: NodeState, ids: tuple, out: RoundOutput) -> None:
+def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
     # tell every named peer its flyover traffic is refused, keep the ids
     for v in sorted(set(ids) - {st.id}):
         out.sends.append((v, RejFlyover()))

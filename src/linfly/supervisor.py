@@ -9,8 +9,7 @@ same request/collect machinery but distort the advice payloads.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
@@ -22,7 +21,7 @@ from .core import (
     bfs_distances,
     undirected,
 )
-from .ttp import label_tree, tree_to_path
+from .ttp import label_tree, orient, tree_to_path
 
 
 @dataclass
@@ -64,16 +63,7 @@ def compute_advice(snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
     if len(ids) < 2:
         raise ValueError("advice needs at least two nodes")
     root = ids[0]
-    parent: dict[NodeId, NodeId] = {}
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(snapshot[u]):
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                queue.append(v)
+    parent, depth = orient({u: sorted(vs) for u, vs in snapshot.items()}, root)
     if len(depth) != len(ids):
         raise ValueError("snapshot is disconnected")
     tree = label_tree(root, parent, 0)
@@ -117,10 +107,7 @@ def _strategy_sybil(snapshot, membership) -> dict[NodeId, Advice]:
 def _strategy_wrong_vids(snapshot, membership) -> dict[NodeId, Advice]:
     out = compute_advice(snapshot)
     victim = max(out, key=lambda u: out[u].vid)
-    a = out[victim]
-    bad_vid = 2 if a.vid >= 3 else 3
-    out[victim] = Advice(vid=bad_vid, c_par=a.c_par, c_dist=a.c_dist,
-                         par=a.par, dist=a.dist)
+    out[victim] = replace(out[victim], vid=2 if out[victim].vid >= 3 else 3)
     return out
 
 
@@ -131,9 +118,7 @@ def _strategy_cycle(snapshot, membership) -> dict[NodeId, Advice]:
     vids = [out[u].vid for u in ring]
     shared = max(out[u].c_dist for u in ring)
     for i, u in enumerate(ring):
-        a = out[u]
-        out[u] = Advice(vid=a.vid, c_par=vids[(i - 1) % len(ring)],
-                        c_dist=shared, par=a.par, dist=a.dist)
+        out[u] = replace(out[u], c_par=vids[(i - 1) % len(ring)], c_dist=shared)
     return out
 
 

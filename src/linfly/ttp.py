@@ -35,6 +35,23 @@ def _children_map(root: NodeId, parent: Mapping[NodeId, NodeId]) -> dict[NodeId,
     return children
 
 
+def orient(adj: Sequence[Sequence[NodeId]] | Mapping[NodeId, Sequence[NodeId]],
+           root: NodeId) -> tuple[dict[NodeId, NodeId], dict[NodeId, int]]:
+    """Parent and depth maps of a breadth-first search from root that
+    visits each vertex's neighbours in the order adj[v] lists them."""
+    parent: dict[NodeId, NodeId] = {}
+    depth = {root: 0}
+    queue = [root]
+    for v in queue:
+        d = depth[v] + 1
+        for w in adj[v]:
+            if w not in depth:
+                depth[w] = d
+                parent[w] = v
+                queue.append(w)
+    return parent, depth
+
+
 def label_tree(root: NodeId, parent: Mapping[NodeId, NodeId], root_label: int) -> LabelledRootedTree:
     """Label every vertex with its depth parity relative to root_label."""
     if root_label not in (0, 1):
@@ -42,16 +59,10 @@ def label_tree(root: NodeId, parent: Mapping[NodeId, NodeId], root_label: int) -
     if root in parent:
         raise ValueError("root must not have a parent entry")
     children = _children_map(root, parent)
-    label = {root: root_label}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        lv = label[v]
-        for c in children[v]:
-            label[c] = 1 - lv
-            stack.append(c)
-    if len(label) != len(children):
+    _parent, depth = orient(children, root)
+    if len(depth) != len(children):
         raise ValueError("input is not a tree: some vertices unreachable from root")
+    label = {v: root_label ^ (d & 1) for v, d in depth.items()}
     return LabelledRootedTree(root=root, parent=dict(parent), label=label)
 
 
@@ -80,27 +91,17 @@ def tree_to_path(tree: LabelledRootedTree) -> list[NodeId]:
             continue
         p = parent[v]
         sibs = children[p]
+        i = sibs.index(v)
         cv = children[v]
         if label[v] == 1:
             # nearest right sibling if any, else the parent, points at v or
             # at v's largest child
-            rsib = None
-            for s in sibs:
-                if s > v:
-                    rsib = s
-                    break
-            a = p if rsib is None else rsib
+            a = sibs[i + 1] if i + 1 < len(sibs) else p
             b = v if not cv else cv[-1]
         else:
             # v or v's smallest child points at the nearest left sibling,
             # else at the parent
-            lsib = None
-            for s in sibs:
-                if s < v:
-                    lsib = s
-                else:
-                    break
-            b = p if lsib is None else lsib
+            b = sibs[i - 1] if i > 0 else p
             a = v if not cv else cv[0]
         succ[a] = b
 
@@ -164,21 +165,6 @@ def decode_pruefer(seq: Sequence[int], n: int) -> list[list[int]]:
     return adj
 
 
-def _orient(adj: list[list[int]], root: int) -> tuple[dict[int, int], dict[int, int]]:
-    parent: dict[int, int] = {}
-    depth = {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        d = depth[v] + 1
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = d
-                parent[w] = v
-                stack.append(w)
-    return parent, depth
-
-
 def enumerate_labelled_trees(max_n: int) -> Iterator[LabelledRootedTree]:
     """Yield every rooted labelled tree on 2..max_n vertices, both root labels.
 
@@ -191,7 +177,7 @@ def enumerate_labelled_trees(max_n: int) -> Iterator[LabelledRootedTree]:
         for seq in product(range(n), repeat=n - 2):
             adj = decode_pruefer(seq, n)
             for root in range(n):
-                parent, depth = _orient(adj, root)
+                parent, depth = orient(adj, root)
                 yield LabelledRootedTree(root, parent, {v: d & 1 for v, d in depth.items()})
                 yield LabelledRootedTree(root, parent, {v: 1 - (d & 1) for v, d in depth.items()})
 

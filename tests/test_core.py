@@ -248,6 +248,19 @@ def test_derived_init_keeps_messages_frozen(cls):
 
 
 @each_message_class
+def test_messages_refuse_new_attributes(cls):
+    # the frozen __setattr__ compares against the class as it was before
+    # slots=True replaced it, so on CPython 3.10-3.13 a name that is not a
+    # field fails with TypeError rather than FrozenInstanceError; either
+    # way nothing may be stored
+    msg = cls(*_field_values(cls))
+    with pytest.raises((TypeError, AttributeError, FrozenInstanceError)):
+        msg.extra = 0
+    assert not hasattr(msg, "__dict__")
+    assert not hasattr(msg, "extra")
+
+
+@each_message_class
 def test_messages_survive_copy_pickle_and_replace(cls):
     values = _field_values(cls)
     msg = cls(*values)

@@ -48,6 +48,14 @@ def test_advice_vids_are_a_bijection():
     assert [adv[u].c_dist for u in range(6)] == list(range(6))
 
 
+def test_advice_tree_is_breadth_first():
+    # on the 4-cycle 0-1-2-3-0 the advice tree reaches 2 through 1, its
+    # smaller neighbour at the least depth
+    adv = compute_advice({0: {1, 3}, 1: {0, 2}, 2: {1, 3}, 3: {0, 2}})
+    assert adv[2].par == 1 and adv[2].dist == 2
+    assert adv[3].par == 0 and adv[1].par == 0
+
+
 def test_advice_refuses_disconnected():
     with pytest.raises(ValueError):
         compute_advice({1: {2}, 2: {1}, 3: set()})

@@ -11,6 +11,7 @@ from linfly.ttp import (
     enumerate_labelled_trees,
     label_tree,
     oracle_is_valid_output,
+    orient,
     tree_to_path,
     verify_all_trees,
 )
@@ -153,3 +154,41 @@ def test_decode_pruefer_inverts_the_encoding():
             assert _pruefer_encode(adj) == seq
             count += 1
     assert count == 18248
+
+
+# --- rooting -----------------------------------------------------------------
+
+
+def _dfs_orient(adj, root):
+    """Parent and depth maps by a depth-first search that keeps its
+    frontier on a stack."""
+    parent, depth = {}, {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in depth:
+                parent[w], depth[w] = v, depth[v] + 1
+                stack.append(w)
+    return parent, depth
+
+
+def test_orient_is_breadth_first_on_a_cycle():
+    # 0-1-2-3-0 with sorted neighbours: breadth-first reaches 2 through 1,
+    # the depth-first search through 3, which it pops first
+    cycle = [[1, 3], [0, 2], [1, 3], [0, 2]]
+    parent, depth = orient(cycle, 0)
+    assert parent == {1: 0, 3: 0, 2: 1}
+    assert depth == {0: 0, 1: 1, 3: 1, 2: 2}
+    assert _dfs_orient(cycle, 0)[0][2] == 3
+
+
+def test_orient_matches_depth_first_on_every_small_tree():
+    count = 0
+    for n in range(2, 7):
+        for seq in product(range(n), repeat=n - 2):
+            adj = decode_pruefer(seq, n)
+            for root in range(n):
+                assert orient(adj, root) == _dfs_orient(adj, root), (seq, root)
+                count += 1
+    assert count == sum(n ** (n - 1) for n in range(2, 7))
