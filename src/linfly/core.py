@@ -12,7 +12,7 @@ import copy
 import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
-from typing import Callable, Collection, Optional, get_args
+from typing import Callable, Collection, Mapping, Optional, Sequence, get_args
 
 NodeId = int
 
@@ -394,17 +394,23 @@ def is_weakly_connected(config: Configuration) -> bool:
     return len(bfs_distances(adj, min(adj))) == len(adj)
 
 
+def orient(adj: Sequence[Sequence[NodeId]] | Mapping[NodeId, Collection[NodeId]],
+           root: NodeId) -> tuple[dict[NodeId, NodeId], dict[NodeId, int]]:
+    """Parent and depth maps of a breadth-first search from root that
+    visits each vertex's neighbours in the order adj[v] lists them."""
+    parent: dict[NodeId, NodeId] = {}
+    depth = {root: 0}
+    queue = [root]
+    for v in queue:
+        d = depth[v] + 1
+        for w in adj[v]:
+            if w not in depth:
+                depth[w] = d
+                parent[w] = v
+                queue.append(w)
+    return parent, depth
+
+
 def bfs_distances(adj: dict[NodeId, set[NodeId]], source: NodeId) -> dict[NodeId, int]:
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    """Hop distance from source to every vertex it reaches."""
+    return orient(adj, source)[1]

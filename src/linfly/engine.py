@@ -34,7 +34,7 @@ import gc
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import Collection, Iterator, Optional
 
 # communication_graph, explicit_edges and is_weakly_connected are not
@@ -142,10 +142,6 @@ def _graph(n: int, edges) -> dict[NodeId, set[NodeId]]:
     return adj
 
 
-def _clique(lo: int, hi: int):
-    return ((u, v) for u in range(lo, hi) for v in range(u + 1, hi))
-
-
 def path_topology(n: int, _rng: random.Random) -> Topology:
     return _graph(n, ((u, u + 1) for u in range(n - 1))), None
 
@@ -158,7 +154,7 @@ def two_clusters_topology(n: int, _rng: random.Random) -> Topology:
     """Two cliques joined by a single bridge edge."""
     h = n // 2
     bridge = [(h - 1, h)] if h > 0 else []
-    return _graph(n, chain(_clique(0, h), _clique(h, n), bridge)), None
+    return _graph(n, chain(combinations(range(h), 2), combinations(range(h, n), 2), bridge)), None
 
 
 def random_connected_topology(n: int, rng: random.Random) -> Topology:
@@ -181,7 +177,8 @@ def far_pair_topology(n: int, _rng: random.Random) -> Topology:
     q = max(2, n // 4)
     m = n // 2
     chains = ((u, u + 1) for u in chain(range(q - 1, m - 1), range(m, n - q)))
-    edges = chain(_clique(0, q), _clique(n - q, n), chains, [(0, n - 1)])
+    edges = chain(combinations(range(q), 2), combinations(range(n - q, n), 2),
+                  chains, [(0, n - 1)])
     return _graph(n, edges), (m - 1, m)
 
 
@@ -524,6 +521,8 @@ def classify_structures(config: Configuration) -> StructureCensus:
                 flyover=_is_flyover(nodes, chain),
                 correctly_configured=_is_correctly_configured(nodes, chain),
             ))
+    # dual is sorted and the chain pass visits no cycle member, so each
+    # cycle is first met at, and so starts from, its least id
     for u in dual:
         if u in visited:
             continue
@@ -534,8 +533,7 @@ def classify_structures(config: Configuration) -> StructureCensus:
             cycle.append(w)
             visited.add(w)
             w = succ[w]
-        k = cycle.index(min(cycle))
-        ouroboroi.append(OuroborosInfo(tuple(cycle[k:] + cycle[:k]), perfect=True))
+        ouroboroi.append(OuroborosInfo(tuple(cycle), perfect=True))
     return StructureCensus(backbones, ouroboroi, lost)
 
 

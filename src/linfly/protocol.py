@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Collection, Optional
 
-from .baseline import base_step, flush
+from .baseline import Send, base_step, flush
 from .core import (
     Advice,
     Base,
@@ -49,8 +49,6 @@ from .core import (
     VERIFIED_KINDS,
     vouched_ids,
 )
-
-Send = tuple[NodeId, Message]
 
 # The order in which a node processes the messages of one class, the only
 # place it is defined. Handlers read one class at a time, so no order

@@ -19,9 +19,10 @@ from .core import (
     NodeId,
     RequestSnapshot,
     bfs_distances,
+    orient,
     undirected,
 )
-from .ttp import label_tree, orient, tree_to_path
+from .ttp import LabelledRootedTree, tree_to_path
 
 
 @dataclass
@@ -66,18 +67,12 @@ def compute_advice(snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
     parent, depth = orient({u: sorted(vs) for u, vs in snapshot.items()}, root)
     if len(depth) != len(ids):
         raise ValueError("snapshot is disconnected")
-    tree = label_tree(root, parent, 0)
-    path = tree_to_path(tree)
+    path = tree_to_path(LabelledRootedTree(root, parent, {v: d & 1 for v, d in depth.items()}))
     vid = {v: i + 1 for i, v in enumerate(path)}
-    rank = {v: i for i, v in enumerate(ids)}
-    out: dict[NodeId, Advice] = {}
-    for v in ids:
-        if v == root:
-            out[v] = Advice(vid=vid[v], c_par=0, c_dist=0, par=None, dist=0)
-        else:
-            pred = ids[rank[v] - 1]
-            out[v] = Advice(vid=vid[v], c_par=vid[pred], c_dist=rank[v],
-                            par=parent[v], dist=depth[v])
+    out = {root: Advice(vid=vid[root], c_par=0, c_dist=0, par=None, dist=0)}
+    for r, v in enumerate(ids[1:], 1):
+        out[v] = Advice(vid=vid[v], c_par=vid[ids[r - 1]], c_dist=r,
+                        par=parent[v], dist=depth[v])
     return out
 
 

@@ -1,9 +1,9 @@
-"""Tree labelling and the sequential tree-to-path transformation.
+"""The sequential tree-to-path transformation.
 
 Turns a labelled rooted tree into a directed Hamiltonian path whose
 endpoints are determined by the root's label. The supervisor uses this to
 lay out an advised path over a network snapshot; the exhaustive driver
-checks the transformation against a brute-force validity oracle.
+checks the transformation against an independent validity oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-NodeId = int
+from .core import NodeId, orient
 
 
 @dataclass
@@ -33,37 +33,6 @@ def _children_map(root: NodeId, parent: Mapping[NodeId, NodeId]) -> dict[NodeId,
     for c in children.values():
         c.sort()
     return children
-
-
-def orient(adj: Sequence[Sequence[NodeId]] | Mapping[NodeId, Sequence[NodeId]],
-           root: NodeId) -> tuple[dict[NodeId, NodeId], dict[NodeId, int]]:
-    """Parent and depth maps of a breadth-first search from root that
-    visits each vertex's neighbours in the order adj[v] lists them."""
-    parent: dict[NodeId, NodeId] = {}
-    depth = {root: 0}
-    queue = [root]
-    for v in queue:
-        d = depth[v] + 1
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = d
-                parent[w] = v
-                queue.append(w)
-    return parent, depth
-
-
-def label_tree(root: NodeId, parent: Mapping[NodeId, NodeId], root_label: int) -> LabelledRootedTree:
-    """Label every vertex with its depth parity relative to root_label."""
-    if root_label not in (0, 1):
-        raise ValueError("root_label must be 0 or 1")
-    if root in parent:
-        raise ValueError("root must not have a parent entry")
-    children = _children_map(root, parent)
-    _parent, depth = orient(children, root)
-    if len(depth) != len(children):
-        raise ValueError("input is not a tree: some vertices unreachable from root")
-    label = {v: root_label ^ (d & 1) for v, d in depth.items()}
-    return LabelledRootedTree(root=root, parent=dict(parent), label=label)
 
 
 def tree_to_path(tree: LabelledRootedTree) -> list[NodeId]:

@@ -185,6 +185,30 @@ def test_criterion_06_flyover_builds_on_schedule():
           "for sizes 4..64")
 
 
+def test_flyover_levels_grow_one_per_round_in_full_runs():
+    # the schedule criterion 6 pins on seeded backbones, over whole runs:
+    # no node gains more than one shortcut level in any round
+    runs = 0
+    for mode, corruption, topology, n in itertools.product(
+            SUPERVISOR_MODES, CORRUPTIONS, ("random_connected", "far_pair"), (16, 64)):
+        cfg, pair = start(Scenario(n=n, topology=topology, supervisor=mode,
+                                   corruption=corruption, seed=1))
+        levels = {u: max(len(st.L), len(st.R)) for u, st in cfg.nodes.items()}
+        for r, _stats, (_connected, _degree, legal, _distance) in rounds(
+                cfg, pair, default_max_rounds(n)):
+            for u, st in cfg.nodes.items():
+                level = max(len(st.L), len(st.R))
+                assert level <= levels[u] + 1, (mode, corruption, topology, n, r, u)
+                levels[u] = level
+            if legal:
+                break
+        assert legal, (mode, corruption, topology, n)
+        runs += 1
+    assert runs == 128
+    print(f"flyover levels: {runs} runs to legality, no node gained more "
+          "than one level in a round")
+
+
 def test_criterion_07_exit_propagates_fast():
     worst = {}
     for m in (8, 32, 128):

@@ -540,6 +540,16 @@ def test_census_checks_each_shortcut_and_certificate(register, value, flyover,
     assert (bb.flyover, bb.correctly_configured) == (flyover, configured)
 
 
+def _rings(*orders) -> Configuration:
+    """Perfect rings of mutual level-1 shortcuts, each in its successor order."""
+    nodes = {}
+    for order in orders:
+        for i, u in enumerate(order):
+            nodes[u] = NodeState(id=u, R=[order[(i + 1) % len(order)]],
+                                 L=[order[i - 1]])
+    return Configuration(nodes=nodes)
+
+
 def test_census_perfect_ring():
     ids = [1, 2, 3]
     nodes = {}
@@ -550,6 +560,13 @@ def test_census_perfect_ring():
         nodes[u] = st
     census = classify_structures(Configuration(nodes=nodes))
     assert [(o.members, o.perfect) for o in census.ouroboroi] == [((1, 2, 3), True)]
+    assert not census.backbones and not census.lost
+    # a ring is reported from its least member, whatever its successor order
+    census = classify_structures(_rings([4, 1, 3]))
+    assert [(o.members, o.perfect) for o in census.ouroboroi] == [((1, 3, 4), True)]
+    census = classify_structures(_rings([5, 2, 7], [6, 3]))
+    assert [(o.members, o.perfect) for o in census.ouroboroi] == [
+        ((2, 7, 5), True), ((3, 6), True)]
     assert not census.backbones and not census.lost
 
 

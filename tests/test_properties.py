@@ -11,6 +11,7 @@ from linfly.core import (
     VERIFIED_KINDS,
     Advice,
     Base,
+    Configuration,
     FlyConstL,
     FlyConstR,
     Intro,
@@ -35,6 +36,7 @@ from linfly.core import (
     implicit_out,
     initial_configuration,
     is_weakly_connected,
+    orient,
     vouched_ids,
 )
 from linfly.engine import (
@@ -51,7 +53,9 @@ from linfly.engine import (
 )
 from linfly import protocol
 from linfly.protocol import SORT_KEYS, RoundOutput, next_stop, node_round
-from linfly.ttp import label_tree, oracle_is_valid_output, tree_to_path
+from linfly.supervisor import STRATEGIES, make_supervisor
+from linfly.ttp import LabelledRootedTree, oracle_is_valid_output, tree_to_path
+from test_reference import _agree
 
 ids_strategy = hs.integers(min_value=0, max_value=7)
 id_lists = hs.lists(ids_strategy, max_size=4)
@@ -205,8 +209,9 @@ def test_sort_keys_match_the_reference_order(bag):
             assert cls not in SORT_KEYS
 
 
-def _draw_node(data) -> NodeState:
-    node_id = data.draw(ids_strategy)
+def _draw_node(data, node_id=None) -> NodeState:
+    if node_id is None:
+        node_id = data.draw(ids_strategy)
     if data.draw(hs.booleans()):
         # an idle node in the advice window, so the pipeline runs too
         return NodeState(id=node_id, t=data.draw(hs.integers(min_value=0, max_value=6)),
@@ -444,6 +449,25 @@ def test_fused_monitors_match_reference_and_public_checks(data):
     assert distance == bfs_distances(communication_graph(cfg), source).get(target, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_step_round_matches_the_reference_on_drawn_configurations(data):
+    # arbitrary registers and channels, so replay meets states that no
+    # seeded scenario reaches
+    nodes = {}
+    for u in data.draw(hs.lists(ids_strategy, min_size=1, max_size=6, unique=True)):
+        nodes[u] = _draw_node(data, u)
+        nodes[u].channel = data.draw(hs.lists(messages, max_size=6))
+    mode = data.draw(hs.sampled_from(SUPERVISOR_MODES))
+    supervisor = None
+    if mode == "honest":
+        supervisor = make_supervisor(nodes)
+    elif mode in STRATEGIES:
+        supervisor = make_supervisor(nodes, "malicious", mode)
+    config = Configuration(nodes=nodes, supervisor=supervisor)
+    _agree(config, data.draw(hs.integers(min_value=1, max_value=3 * len(nodes))))
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=hs.integers(min_value=2, max_value=12),
        seed=hs.integers(min_value=0, max_value=10 ** 6),
@@ -504,6 +528,36 @@ def test_census_is_a_partition_of_dual_nodes(data):
     assert set(placed) == duals
 
 
+@settings(max_examples=200)
+@given(data=hs.data())
+def test_orient_is_a_breadth_first_search(data):
+    n = data.draw(hs.integers(min_value=1, max_value=9))
+    vertices = hs.integers(min_value=0, max_value=n - 1)
+    lists = [[] for _ in range(n)]
+    for u, v in data.draw(hs.lists(hs.tuples(vertices, vertices), max_size=2 * n)):
+        if u != v and v not in lists[u]:
+            lists[u].append(v)
+            lists[v].append(u)
+    # often disconnected; lists of lists or dicts of sets
+    adj = lists if data.draw(hs.booleans()) else {u: set(vs) for u, vs in enumerate(lists)}
+    root = data.draw(vertices)
+    parent, depth = orient(adj, root)
+    want = {root: 0}  # hop counts relaxed until nothing changes
+    relaxed = True
+    while relaxed:
+        relaxed = False
+        for u in list(want):
+            for v in adj[u]:
+                if want.get(v, n) > want[u] + 1:
+                    want[v] = want[u] + 1
+                    relaxed = True
+    assert depth == want
+    assert parent.keys() == depth.keys() - {root}
+    for w, v in parent.items():
+        assert v in adj[w] and depth[v] == depth[w] - 1
+    assert list(depth.values()) == sorted(depth.values())
+
+
 @settings(max_examples=150)
 @given(data=hs.data())
 def test_tree_linearization_passes_oracle(data):
@@ -512,7 +566,10 @@ def test_tree_linearization_passes_oracle(data):
                            label=f"parent[{v}]")
               for v in range(1, n)}
     root_label = data.draw(hs.sampled_from([0, 1]))
-    tree = label_tree(0, parent, root_label)
+    depth = {0: 0}
+    for v in range(1, n):  # parent[v] < v, so its depth is already known
+        depth[v] = depth[parent[v]] + 1
+    tree = LabelledRootedTree(0, parent, {v: root_label ^ (d & 1) for v, d in depth.items()})
     path = tree_to_path(tree)
     assert sorted(path) == list(range(n))
     assert oracle_is_valid_output(tree, path)

@@ -1,5 +1,5 @@
-"""Pruefer decoding, tree labelling, the tree-to-path transformation, and
-its oracle."""
+"""Pruefer decoding, breadth-first orientation, the tree-to-path
+transformation, and its oracle."""
 
 from itertools import product
 
@@ -9,7 +9,6 @@ from linfly.ttp import (
     LabelledRootedTree,
     decode_pruefer,
     enumerate_labelled_trees,
-    label_tree,
     oracle_is_valid_output,
     orient,
     tree_to_path,
@@ -17,51 +16,28 @@ from linfly.ttp import (
 )
 
 
-def test_label_path_alternates():
-    t = label_tree(0, {1: 0, 2: 1}, 0)
-    assert t.label == {0: 0, 1: 1, 2: 0}
-
-
-def test_label_star_children_flip():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
-    assert t.label[0] == 0
-    assert all(t.label[c] == 1 for c in (1, 2, 3))
-
-
-def test_label_single_edge_root_one():
-    t = label_tree(0, {1: 0}, 1)
-    assert t.label == {0: 1, 1: 0}
-
-
-def test_label_rejects_bad_root_label():
-    with pytest.raises(ValueError):
-        label_tree(0, {1: 0}, 2)
-
-
-def test_label_rejects_unreachable_vertices():
-    # 2 and 3 point at each other, never reaching the root
-    with pytest.raises(ValueError):
-        label_tree(0, {1: 0, 2: 3, 3: 2}, 0)
+# trees with their depth-parity labels written out
+STAR = ({1: 0, 2: 0, 3: 0}, {0: 0, 1: 1, 2: 1, 3: 1})
 
 
 def test_star_path_descends_children():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
+    t = LabelledRootedTree(0, *STAR)
     assert tree_to_path(t) == [0, 3, 2, 1]
 
 
 def test_single_child():
-    t = label_tree(0, {1: 0}, 0)
+    t = LabelledRootedTree(0, {1: 0}, {0: 0, 1: 1})
     assert tree_to_path(t) == [0, 1]
 
 
 def test_two_level_tree_ends_at_min_child():
     # 0 -> 1 -> {2, 3}: the path must end at min(children(0)) = 1
-    t = label_tree(0, {1: 0, 2: 1, 3: 1}, 0)
+    t = LabelledRootedTree(0, {1: 0, 2: 1, 3: 1}, {0: 0, 1: 1, 2: 0, 3: 0})
     assert tree_to_path(t) == [0, 3, 2, 1]
 
 
 def test_root_label_one_runs_into_root():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 1)
+    t = LabelledRootedTree(0, {1: 0, 2: 0, 3: 0}, {0: 1, 1: 0, 2: 0, 3: 0})
     p = tree_to_path(t)
     assert p[0] == 3 and p[-1] == 0
     assert oracle_is_valid_output(t, p)
@@ -78,27 +54,27 @@ def test_inconsistent_labels_rejected():
 
 
 def test_path_is_deterministic():
-    t = label_tree(0, {1: 0, 2: 1, 3: 1, 4: 0}, 0)
+    t = LabelledRootedTree(0, {1: 0, 2: 1, 3: 1, 4: 0}, {0: 0, 1: 1, 2: 0, 3: 0, 4: 1})
     assert tree_to_path(t) == tree_to_path(t)
 
 
 def test_oracle_accepts_star_path():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
+    t = LabelledRootedTree(0, *STAR)
     assert oracle_is_valid_output(t, [0, 3, 2, 1])
 
 
 def test_oracle_rejects_wrong_endpoint():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
+    t = LabelledRootedTree(0, *STAR)
     assert not oracle_is_valid_output(t, [0, 1, 2, 3])
 
 
 def test_oracle_rejects_missing_vertex():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
+    t = LabelledRootedTree(0, *STAR)
     assert not oracle_is_valid_output(t, [0, 3, 2])
 
 
 def test_oracle_rejects_duplicates():
-    t = label_tree(0, {1: 0, 2: 0, 3: 0}, 0)
+    t = LabelledRootedTree(0, *STAR)
     assert not oracle_is_valid_output(t, [0, 3, 3, 1])
 
 
