@@ -19,9 +19,11 @@ A node that repeats a fixed point (same registers, same deliveries) is
 not recomputed: `step_round` replays its stored output and audit
 verdict, which a recomputation would reproduce exactly (see there).
 Unassisted runs spend most node-rounds in such fixed points. Each round
-also names the nodes it changed, so `rounds` recomputes the out-sets of
-those nodes only (every node's for the start reading), and the
-communication graph only when one moved.
+also names the nodes it changed, so `rounds` recomputes the explicit
+out-sets of those nodes only (every node's for the start reading). The
+in-flight ids are read only on rounds where the explicit edges cannot
+decide connectivity alone, and the communication graph is rebuilt only
+on such a round where an out-set moved.
 
 `step_round` also pauses the cyclic garbage collector for the round,
 whose allocations form no cycles (see there); it is the one place the
@@ -182,14 +184,23 @@ def far_pair_topology(n: int, _rng: random.Random) -> Topology:
     return _graph(n, edges), (m - 1, m)
 
 
+def shuffled_path_topology(n: int, rng: random.Random) -> Topology:
+    """Path through a random permutation of the ids, so sorted neighbours
+    sit about n/3 hops apart on average."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return _graph(n, zip(ids, ids[1:])), None
+
+
 # name -> builder; TOPOLOGIES keeps this order, which the acceptance
-# grid's per-run seeds follow
+# grid's per-run seeds follow, so new names go at the end
 _TOPOLOGY_FNS = {
     "path": path_topology,
     "star": star_topology,
     "two_clusters": two_clusters_topology,
     "random_connected": random_connected_topology,
     "far_pair": far_pair_topology,
+    "shuffled_path": shuffled_path_topology,
 }
 
 TOPOLOGIES = tuple(_TOPOLOGY_FNS)
@@ -661,37 +672,61 @@ def rounds(config: Configuration, pair: Optional[tuple[NodeId, NodeId]],
     weak connectivity, explicit degree high-water, legality and the pair's
     distance (n when apart; None without a pair).
 
-    Both out-set maps start empty, and the start reading fills them with
-    the update every round uses, over every node. After a round only the
-    out-sets of stats.changed are recomputed; the graph is rebuilt and
-    searched only if one moved, and degree and legality reread only if an
-    explicit one did. So step_round must be the one thing that changes
+    Both out-set maps start empty, and the start reading fills the
+    explicit one with the update every round uses, over every node. After
+    a round only the explicit out-sets of stats.changed are recomputed,
+    and degree, legality and the search of the explicit graph are redone
+    only if one moved. Without a pair, a connected explicit graph decides
+    connectivity: the communication graph has the same nodes and a
+    superset of its edges. Only when it cannot (a pair is asked for, or
+    the explicit graph is disconnected) are the implicit out-sets of the
+    nodes changed since they were last read recomputed, and the whole
+    graph rebuilt and searched if an out-set of either kind moved since
+    the last search. So step_round must be the one thing that changes
     config in between.
 
     The maps live through every step_round, so each out-set is a tuple: on
     an honest n=1024 run, sets of 20-30 ids took 4.6 MB where tuples take
-    0.6 MB. The graph and its BFS map are released before each yield.
+    0.6 MB. Each graph and its BFS map are released before each yield.
     """
     out = dict.fromkeys(config.nodes, ())
     imp = dict.fromkeys(config.nodes, ())
+    stale: set[NodeId] = set()
+    spans = False
+    distance = None
     stats = None
     for r in range(max_rounds + 1):
         if r:
             stats = step_round(config)
         nodes = config.nodes
-        explicit = implicit = not r
-        for u in stats.changed if r else nodes:
+        changed = stats.changed if r else nodes
+        stale.update(changed)
+        explicit = not r
+        for u in changed:
             explicit |= _keep(out, u, explicit_out_of(nodes, u))
-            implicit |= _keep(imp, u, implicit_out_of(nodes, u))
         if explicit:
             degree, legal = _max_degree(out), _legal(out)
-        if explicit or implicit:
-            adj = undirected(out, imp)
-            dist = bfs_distances(adj, min(adj) if pair is None else pair[0])
-            connected = len(dist) == len(adj)
-            distance = None if pair is None else dist.get(pair[1], len(adj))
-            del adj, dist
+            if pair is None:
+                spans = _search(undirected(out), None)[0]
+        if spans:
+            connected = True
+        else:
+            implicit = False
+            for u in stale:
+                implicit |= _keep(imp, u, implicit_out_of(nodes, u))
+            stale.clear()
+            if explicit or implicit:
+                connected, distance = _search(undirected(out, imp), pair)
         yield r, stats, (connected, degree, legal, distance)
+
+
+def _search(adj: dict[NodeId, set[NodeId]], pair: Optional[tuple[NodeId, NodeId]],
+            ) -> tuple[bool, Optional[int]]:
+    """Whether adj is connected, and the pair's distance in it (len(adj)
+    when apart; None without a pair)."""
+    dist = bfs_distances(adj, min(adj) if pair is None else pair[0])
+    return (len(dist) == len(adj),
+            None if pair is None else dist.get(pair[1], len(adj)))
 
 
 def _keep(kept: dict[NodeId, tuple], u: NodeId, vs: set[NodeId]) -> bool:

@@ -81,6 +81,31 @@ def test_criterion_03_honest_convergence_is_logarithmic():
           f"mean 256/16 ratio {mean_ratio:.2f}")
 
 
+def test_shuffled_path_separates_advice_from_the_base_algorithm():
+    # a path over permuted ids puts sorted neighbours far apart: honest
+    # advice keeps criterion 03's bound while the unassisted base
+    # algorithm falls further behind as n grows
+    mean_ratio = {}
+    for n in (32, 64, 128, 256):
+        bound = 16 * _log2ceil(n)
+        ratios = []
+        for seed in range(3):
+            honest = run(Scenario(n=n, topology="shuffled_path",
+                                  supervisor="honest", seed=seed))
+            legal = honest.metrics.rounds_to_legal
+            assert legal is not None, (n, seed)
+            first = honest.advice_rounds[0] if honest.advice_rounds else 0
+            assert max(0, legal - first) <= bound, (n, seed)
+            alone = run(Scenario(n=n, topology="shuffled_path",
+                                 supervisor="none", seed=seed))
+            assert alone.metrics.rounds_to_legal is not None, (n, seed)
+            ratios.append(alone.metrics.rounds_to_legal / legal)
+        mean_ratio[n] = sum(ratios) / len(ratios)
+    assert mean_ratio[256] > mean_ratio[32]
+    print("shuffled_path: mean none/honest rounds-to-legal ratio "
+          + ", ".join(f"n={n} {r:.2f}" for n, r in mean_ratio.items()))
+
+
 def test_criterion_04_malicious_advice_rejected_in_time():
     worst_lag = 0
     for strategy, n in itertools.product(STRATEGIES, (8, 32, 128)):
@@ -141,7 +166,7 @@ def test_closure_legal_configurations_stay_legal():
                     break
         assert legal_at is not None and r == legal_at + 4 * n, where
         runs += 1
-    assert runs == 160
+    assert runs == 192
     print(f"closure: {runs} runs stayed legal, connected and clean "
           f"for 4n rounds past legality")
 

@@ -97,6 +97,19 @@ def test_random_connected_small_sizes():
         assert is_weakly_connected(initial_configuration(adj3))
 
 
+def test_shuffled_path_is_a_seeded_path_over_every_id():
+    for n in (1, 2, 3, 16):
+        adj, pair = make_topology("shuffled_path", n, random.Random(n))
+        assert pair is None
+        assert set(adj) == set(range(n))
+        degrees = sorted(len(vs) for vs in adj.values())
+        assert degrees == ([0] if n == 1 else [1, 1] + [2] * (n - 2))
+        assert is_weakly_connected(initial_configuration(adj))
+        assert adj == make_topology("shuffled_path", n, random.Random(n))[0]
+    assert make_topology("shuffled_path", 16, random.Random(1)) != \
+        make_topology("shuffled_path", 16, random.Random(2))
+
+
 @pytest.mark.parametrize("n,pair,dist", [(16, (7, 8), 11), (32, (15, 16), 19), (64, (31, 32), 35)])
 def test_far_pair_distances(n, pair, dist):
     adj, got_pair = make_topology("far_pair", n)
@@ -689,7 +702,8 @@ def test_run_trace_file(tmp_path):
 
 
 @pytest.mark.parametrize("supervisor", SUPERVISOR_MODES)
-@pytest.mark.parametrize("topology", ["far_pair", "random_connected"])
+@pytest.mark.parametrize("topology", ["far_pair", "random_connected",
+                                      "shuffled_path"])
 def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor):
     # rounds() patches its readings from the nodes each round changed;
     # every round its connectivity, degree, legality and pair distance must
@@ -743,6 +757,40 @@ def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor)
         assert m.rounds_to_legal == next(
             (r for r, (*_, legal, _p) in enumerate(seen) if legal), None)
         assert res.pair_distances == [p for *_, p in seen if p is not None]
+
+
+def test_rounds_rereads_in_flight_ids_that_went_stale(monkeypatch):
+    # a scripted round function, so each step moves exactly one thing: the
+    # explicit path 0 -> 1 -> 2 splits while an in-flight id still joins
+    # its parts, rejoins, then splits once that id is gone
+    cfg = initial_configuration({u: set() for u in range(3)})
+    cfg.nodes[0].R = [1]
+    cfg.nodes[1].R = [2]
+
+    def set_in_flight(nodes):
+        nodes[0].channel = [Intro(2)]
+        return {0}
+
+    def split(nodes):
+        nodes[1].R = []
+        return {1}
+
+    def rejoin_and_drop(nodes):
+        nodes[1].R = [2]
+        nodes[0].channel = []
+        return {0, 1}
+
+    script = iter([set_in_flight, split, rejoin_and_drop, split])
+
+    def scripted_round(config):
+        return RoundStats(changed=next(script)(config.nodes))
+
+    monkeypatch.setattr(engine, "step_round", scripted_round)
+    got = []
+    for _r, _stats, (connected, *_rest) in rounds(cfg, None, 4):
+        assert connected == is_weakly_connected(cfg)
+        got.append(connected)
+    assert got == [True, True, True, True, False]
 
 
 def test_rounds_steps_only_when_asked():

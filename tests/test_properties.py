@@ -2,6 +2,7 @@
 
 import dataclasses
 import typing
+from unittest import mock
 
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as hs
@@ -44,6 +45,7 @@ from linfly.engine import (
     SUPERVISOR_MODES,
     TOPOLOGIES,
     _degree_high_water,
+    RoundStats,
     Scenario,
     classify_structures,
     is_legal,
@@ -51,7 +53,7 @@ from linfly.engine import (
     start,
     step_round,
 )
-from linfly import protocol
+from linfly import engine, protocol
 from linfly.protocol import SORT_KEYS, RoundOutput, next_stop, node_round
 from linfly.supervisor import STRATEGIES, make_supervisor
 from linfly.ttp import LabelledRootedTree, oracle_is_valid_output, tree_to_path
@@ -422,11 +424,9 @@ def _reference_monitors(config, source, target):
     return len(dist) == len(nodes), degree, dist.get(target, len(nodes))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=hs.data())
-def test_fused_monitors_match_reference_and_public_checks(data):
-    # nodes 0..n-1; registers and channels also name absent ids (up to 11),
-    # the holder's own id and None
+def _draw_monitored_configuration(data) -> Configuration:
+    """Nodes 0..n-1 whose registers and channels also name absent ids (up
+    to 11), the holder's own id and None."""
     n = data.draw(hs.integers(min_value=1, max_value=7))
     cfg = initial_configuration({u: set() for u in range(n)})
     for u, st in cfg.nodes.items():
@@ -436,6 +436,14 @@ def test_fused_monitors_match_reference_and_public_checks(data):
         st.c_ids = data.draw(hs.sets(wire_ids, max_size=2))
         st.base_mem = data.draw(hs.sets(wire_ids, max_size=3))
         st.channel = data.draw(hs.lists(messages, max_size=3))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_fused_monitors_match_reference_and_public_checks(data):
+    cfg = _draw_monitored_configuration(data)
+    n = len(cfg.nodes)
     source = data.draw(hs.integers(min_value=0, max_value=n - 1))
     target = data.draw(hs.integers(min_value=0, max_value=n - 1))
     # the start reading is rounds()'s from-scratch path
@@ -447,6 +455,52 @@ def test_fused_monitors_match_reference_and_public_checks(data):
     assert degree == _degree_high_water(cfg)
     assert legal == is_legal(cfg)
     assert distance == bfs_distances(communication_graph(cfg), source).get(target, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hs.data())
+def test_lazy_monitors_match_the_public_checks_across_rounds(data):
+    # without a pair, rounds() reads in-flight ids only on rounds whose
+    # explicit graph is split, so a node's implicit out-set may be many
+    # rounds old when it is next needed; every reading must still be the
+    # public checks' on the configuration as it stands. Each round is a
+    # step_round, drawn edits named in stats.changed as step_round names
+    # its own, or both: edits alone leave the other nodes quiet, so an
+    # implicit out-set goes stale and is needed later far more often than
+    # under the protocol alone
+    cfg = _draw_monitored_configuration(data)
+    for st in cfg.nodes.values():
+        # node_round steps a flyid of None as NodeState's constructor
+        # leaves it: as the node's own id
+        if st.flyid is None:
+            st.flyid = st.id
+    n = len(cfg.nodes)
+    node = hs.integers(min_value=0, max_value=n - 1)
+    pair = data.draw(hs.none() | hs.tuples(node, node))
+    # one address register or the channel of one node, often emptied, so
+    # that the explicit graph splits and rejoins
+    links = hs.lists(node | wire_ids, max_size=2)
+    edits = hs.one_of(
+        [hs.tuples(node, hs.just(f), links) for f in ("L", "R")]
+        + [hs.tuples(node, hs.just(f), links.map(set)) for f in ("c_ids", "base_mem")]
+        + [hs.tuples(node, hs.just("channel"), hs.lists(messages, max_size=3))])
+
+    def edited_round(config):
+        stats = step_round(config) if data.draw(hs.booleans()) else RoundStats()
+        for u, field, value in data.draw(hs.lists(edits, max_size=3)):
+            setattr(config.nodes[u], field, value)
+            stats.changed.add(u)
+        return stats
+
+    with mock.patch.object(engine, "step_round", edited_round):
+        for r, _stats, reading in rounds(
+                cfg, pair, data.draw(hs.integers(min_value=1, max_value=3 * n))):
+            distance = None
+            if pair is not None:
+                distance = bfs_distances(communication_graph(cfg), pair[0]).get(
+                    pair[1], n)
+            assert reading == (is_weakly_connected(cfg), _degree_high_water(cfg),
+                               is_legal(cfg), distance), r
 
 
 @settings(max_examples=300, deadline=None)
