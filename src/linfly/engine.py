@@ -98,6 +98,8 @@ class RoundStats:
 
     messages: int = 0
     rejected: set[NodeId] = field(default_factory=set)
+    # each node where a check failed -> the checks, in firing order
+    causes: dict[NodeId, tuple[str, ...]] = field(default_factory=dict)
     provenance_violations: int = 0
     # nodes whose registers changed or whose new channel differs from the
     # one they consumed: no other node's out-sets moved this round
@@ -292,12 +294,13 @@ def step_round(config: Configuration) -> RoundStats:
     the output and the audited violation count. A later round reuses that
     entry only if the function is the same object and the registers and
     the delivered list (supervisor messages included) compare equal; it
-    then routes the stored sends and adds the stored count, without
-    calling node_round or auditing again. node_round is a deterministic
-    function of registers and deliveries, and the audit verdict is a
-    function of the registers before and after, the deliveries and the
-    output, all identical on a hit, so a replay yields exactly what a
-    recomputation would. Every computed node-round is audited.
+    then replays the stored output (sends, rejection, causes) and adds the
+    stored count, without calling node_round or auditing again.
+    node_round is a deterministic function of registers and deliveries,
+    and the audit verdict is a function of the registers before and
+    after, the deliveries and the output, all identical on a hit, so a
+    replay yields exactly what a recomputation would. Every computed
+    node-round is audited.
 
     The statistics name in changed every node whose registers changed or
     whose new channel differs from the one it consumed: no other node's
@@ -335,6 +338,7 @@ def step_round(config: Configuration) -> RoundStats:
         n_messages = 0
         violations = 0
         rejected: set[NodeId] = set()
+        causes: dict[NodeId, tuple[str, ...]] = {}
         changed: set[NodeId] = set()
         replay = config.replay
         # (node, channel it consumed, candidate entry or None when replayed):
@@ -396,6 +400,8 @@ def step_round(config: Configuration) -> RoundStats:
                         (u, channel, (round_fn, before, delivered, out, len(bad))))
             if out.did_reject:
                 rejected.add(u)
+            if out.causes:
+                causes[u] = tuple(out.causes)
             n_messages += len(out.sends) + len(out.to_supervisor)
 
         for u, channel, entry in same_registers:
@@ -407,7 +413,7 @@ def step_round(config: Configuration) -> RoundStats:
             st.channel = pending[u]
         config.sup_inbox = to_sup
         config.round_no += 1
-        return RoundStats(messages=n_messages, rejected=rejected,
+        return RoundStats(messages=n_messages, rejected=rejected, causes=causes,
                           provenance_violations=violations, changed=changed)
     finally:
         if enabled:

@@ -87,6 +87,8 @@ class RoundOutput:
     sends: list[Send] = field(default_factory=list)
     to_supervisor: list[Message] = field(default_factory=list)
     did_reject: bool = False
+    # the checks that failed, one entry per firing, in firing order
+    causes: list[str] = field(default_factory=list)
 
 
 def next_stop(st: NodeState, val: int) -> Optional[NodeId]:
@@ -126,24 +128,27 @@ def _scrub_self(st: NodeState) -> None:
     st.base_mem.discard(st.id)
 
 
-def _basic_checks(st: NodeState, rejected: bool) -> None:
-    dual = st.dual
-    if rejected:
-        st.exit = 1
-    if not dual and (st.c_ids or st.flyid != st.id):
-        st.exit = 1
-    if (not st.L and st.R) and (st.vid != 1 or st.flyid != st.id):
-        st.exit = 1
-    if st.L and st.vid <= 1:
-        st.exit = 1
-    if (st.vid == 1 and st.c_dist != 0) or (st.vid > 1 and st.c_dist <= 0):
-        st.exit = 1
-    if dual and st.vid > 1 and next_stop(st, st.c_par) is None:
-        st.exit = 1
-    if len(st.c_ids) > 2:
-        st.exit = 1
-    if len(st.c_ids) == 2 and (st.id > max(st.c_ids) or st.id < min(st.c_ids)):
-        st.exit = 1
+def _reject(st: NodeState, cause: str, out: RoundOutput) -> None:
+    """A check failed: raise the exit flag and record which check."""
+    st.exit = 1
+    out.causes.append(cause)
+
+
+def _basic_checks(st: NodeState, refused: bool, out: RoundOutput) -> None:
+    L, vid, c_dist, c_ids, dual = st.L, st.vid, st.c_dist, st.c_ids, st.dual
+    for cause, failed in (
+            ("refused", refused),
+            ("stray_certificate", not dual and (c_ids or st.flyid != st.id)),
+            ("false_head", not L and st.R and (vid != 1 or st.flyid != st.id)),
+            ("left_of_head", L and vid <= 1),
+            ("cert_dist", (vid == 1 and c_dist != 0) or (vid > 1 and c_dist <= 0)),
+            ("cert_parent_unreachable",
+             dual and vid > 1 and next_stop(st, st.c_par) is None),
+            ("cert_ids_count", len(c_ids) > 2),
+            ("cert_ids_span",
+             len(c_ids) == 2 and not min(c_ids) <= st.id <= max(c_ids))):
+        if failed:
+            _reject(st, cause, out)
 
 
 def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
@@ -163,7 +168,7 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
 
 def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
     # tell every named peer its flyover traffic is refused, keep the ids
-    for v in sorted(set(ids) - {st.id}):
+    for v in sorted(set(ids) - {st.id, None}):
         out.sends.append((v, RejFlyover()))
     flush(st.base_mem, ids, st.id)
 
@@ -175,16 +180,16 @@ def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput)
         for m in by_type.get(kind, ()):
             sen = m.sender
             if not near or near[0] != sen:
-                st.exit = 1
+                _reject(st, "line_sender", out)
             if not st.dual or st.exit == 1:
                 _refuse(st, (sen,), out)
     for kind, near, level in ((FlyConstR, st.L, st.s_l), (FlyConstL, st.R, st.s_r)):
         for m in by_type.get(kind, ()):
             w, i, sen = m.w, m.level, m.sender
             if (len(near) >= i and level(i) != sen) or not near:
-                st.exit = 1
+                _reject(st, "const_sender", out)
             if len(near) >= i + 1 and level(i + 1) != w:
-                st.exit = 1
+                _reject(st, "const_next", out)
             if st.exit == 0 and 1 < len(near) < i:
                 flush(st.base_mem, (sen, w), st.id)
             if st.exit == 0 and len(near) == i and level(i) == sen:
@@ -199,9 +204,9 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
         w, tvid, d = m.origin, m.target_vid, m.dist
         prop = (st.vid == 1) or (st.vid > 1 and st.flyid != st.id)
         if st.vid == tvid and d - 1 != st.c_dist:
-            st.exit = 1
+            _reject(st, "cert_target_dist", out)
         if st.vid != tvid and next_stop(st, tvid) is None:
-            st.exit = 1
+            _reject(st, "cert_route", out)
         if not st.dual or st.exit == 1:
             _refuse(st, (w,), out)
         elif st.vid != tvid:
@@ -221,13 +226,13 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
 def _r_test_flyover_metadata(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     for m in by_type.get(TestVID, ()):
         if not st.dual or st.vid != m.vid:
-            st.exit = 1
+            _reject(st, "vid", out)
     for m in by_type.get(TestFlyID, ()):
         f = m.flyid
         if st.L and st.exit == 0 and st.flyid == st.id and f is not None:
             st.flyid = f
         if (st.flyid != f) if st.dual else (f is not None):
-            st.exit = 1
+            _reject(st, "flyid", out)
         if st.exit == 1 and f is not None:
             _refuse(st, (f,), out)
 
@@ -414,7 +419,7 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
             group.sort(key=SORT_KEYS[cls])
 
     out = RoundOutput()
-    _basic_checks(st, RejFlyover in by_type)
+    _basic_checks(st, RejFlyover in by_type, out)
     _reject_flyover(st, out)
     if not CONSTRUCTION_KINDS.isdisjoint(by_type):
         _r_test_flyover_construction(st, by_type, out)

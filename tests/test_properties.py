@@ -313,7 +313,8 @@ GUARDED_STEPS = {
 
 
 def _output(out: RoundOutput):
-    return (list(out.sends), list(out.to_supervisor), out.did_reject)
+    return (list(out.sends), list(out.to_supervisor), out.did_reject,
+            list(out.causes))
 
 
 @settings(max_examples=300, deadline=None)

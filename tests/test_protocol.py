@@ -1,5 +1,8 @@
 """Node round transition: checks, teardown, construction, advice pipeline."""
 
+import inspect
+import re
+
 import pytest
 
 from linfly.core import (
@@ -158,6 +161,16 @@ def test_teardown_notifies_and_flushes():
     assert new.L == [] and new.R == [] and new.vid == 0
     assert new.flyid == 4 and new.exit == 0
     assert new.c_par == 0 and new.c_dist == -1 and new.c_ids == set()
+
+
+def test_teardown_without_a_flyid_refuses_the_rest():
+    # the constructor turns a None flyid into the own id, an assignment
+    # does not, so the round runs on the state itself, not a clone
+    st = NodeState(id=4, L=[3], R=[5], vid=2, c_par=1, c_dist=1, exit=1)
+    st.flyid = None
+    new, out = node_round(st, [])
+    assert out.did_reject and new.flyid == 4
+    assert {d for d, m in out.sends if isinstance(m, RejFlyover)} == {3, 5}
 
 
 # --- flyover construction ---------------------------------------------------
@@ -533,3 +546,48 @@ def test_channel_cleared_after_round():
     st.channel = [RejFlyover()]
     new, _ = run_node(st, [])
     assert new.channel == []
+
+
+# --- rejection causes -------------------------------------------------------
+
+# One state and delivery per check, failing that check alone. Some of
+# these fire in no run: cert_ids_count in none at all, cert_dist,
+# cert_ids_span and const_next only under corruption.
+CAUSE_CASES = {
+    "refused": (NodeState(id=1, R=[2], vid=1, c_dist=0), [RejFlyover()]),
+    "stray_certificate": (NodeState(id=4, c_ids={2}), []),
+    "false_head": (NodeState(id=4, R=[5], vid=1, c_dist=0, flyid=3), []),
+    "left_of_head": (NodeState(id=4, L=[3], vid=1, c_dist=0), []),
+    "cert_dist": (NodeState(id=2, L=[1], vid=3, c_par=2, c_dist=0), []),
+    "cert_parent_unreachable": (
+        NodeState(id=4, L=[3], vid=2, c_par=9, c_dist=1, flyid=3), []),
+    "cert_ids_count": (NodeState(id=1, R=[2], vid=1, c_dist=0, c_ids={5, 6, 7}), []),
+    "cert_ids_span": (NodeState(id=9, R=[10], vid=1, c_dist=0, c_ids={6, 7}), []),
+    "line_sender": (NodeState(id=1, R=[2], vid=1, c_dist=0), [TestLineR(3)]),
+    "const_sender": (NodeState(id=1, R=[2], vid=1, c_dist=0),
+                     [FlyConstL(w=3, level=1, sender=7)]),
+    "const_next": (NodeState(id=1, R=[2, 3], vid=1, c_dist=0),
+                   [FlyConstL(w=9, level=1, sender=2)]),
+    "cert_target_dist": (NodeState(id=1, R=[2], vid=1, c_dist=0),
+                         [TestCert(origin=5, target_vid=1, dist=3)]),
+    "cert_route": (NodeState(id=1, R=[2], vid=1, c_dist=0),
+                   [TestCert(origin=9, target_vid=0, dist=2)]),
+    "vid": (NodeState(id=5, L=[4], vid=5, c_par=4, c_dist=4, flyid=1), [TestVID(4)]),
+    "flyid": (NodeState(id=4), [TestFlyID(1)]),
+}
+
+
+def test_every_cause_in_protocol_has_a_case():
+    src = inspect.getsource(protocol)
+    named = set(re.findall(r'_reject\(st, "(\w+)"', src))
+    named |= set(re.findall(r'\("(\w+)",', inspect.getsource(protocol._basic_checks)))
+    assert named == set(CAUSE_CASES)
+
+
+@pytest.mark.parametrize("cause", CAUSE_CASES)
+def test_failed_check_records_its_cause(cause):
+    st, delivered = CAUSE_CASES[cause]
+    new, out = run_node(st, delivered)
+    assert out.causes == [cause]
+    # a basic check tears the flyover down this round, a handler next round
+    assert out.did_reject or new.exit == 1

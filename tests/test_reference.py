@@ -66,6 +66,8 @@ def reference_step(config: Configuration) -> RoundStats:
         stats.messages += len(out.sends) + len(out.to_supervisor)
         if out.did_reject:
             stats.rejected.add(u)
+        if out.causes:
+            stats.causes[u] = tuple(out.causes)
 
     for u, st in nodes.items():
         st.channel = channels[u]
