@@ -38,7 +38,6 @@ import pytest
 
 from linfly import cli
 from linfly.engine import (
-    CORRUPTIONS,
     SUPERVISOR_MODES,
     Scenario,
     default_max_rounds,
@@ -50,6 +49,9 @@ from linfly.engine import (
     step_round,
 )
 
+# pinned here rather than read from the engine, so that a corruption or
+# topology appended there leaves every digest below where it is
+CORRUPTIONS = ("none", "garbage_flyover_vars", "stale_channel_messages", "all")
 TOPOLOGIES = ("random_connected", "far_pair")
 SIZES = (8, 32)
 SEED = 1
