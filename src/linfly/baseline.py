@@ -1,4 +1,4 @@
-"""Base linearization algorithm and the two-round delegation primitive.
+"""Base linearization algorithm: delegation by reversal.
 
 Every node runs this every round, independent of the flyover machinery.
 A node keeps only its closest known neighbour on each side and delegates
@@ -32,48 +32,27 @@ def flush(mem: set[NodeId], ids: Iterable[NodeId | None], self_id: NodeId) -> se
     return mem
 
 
-def dr_delegate(self_id: NodeId, w: NodeId, v: NodeId) -> Send:
-    """First half of delegating the edge (self, w) to v.
-
-    Sends a reversal request to w; on receipt w introduces itself to v and
-    the id w can then be dropped here.
-    """
-    return (w, Rev(dest=v, payload=(w,)))
-
-
-def handle_rev(self_id: NodeId, msg: Rev) -> list[Send]:
-    """Second half of delegation: introduce on behalf of the requester.
-
-    The named head of the payload forwards the whole payload; any other
-    receiver introduces only itself. Nothing is stored locally.
-    """
-    if msg.dest == self_id:
-        return []
-    if msg.payload and msg.payload[0] == self_id:
-        return [(msg.dest, Base(payload=msg.payload))]
-    return [(msg.dest, Base(payload=(self_id,)))]
-
-
 def base_step(self_id: NodeId, mem: set[NodeId],
               delivered: list[Message]) -> tuple[set[NodeId], list[Send]]:
     """One round of the base algorithm.
 
-    Merges delivered introductions, answers reversal requests, then keeps
-    only the closest id on each side and delegates the rest toward their
-    sorted positions. The kept neighbours receive the node's own id, so a
-    surviving edge becomes known at both ends; without this a crossing
-    edge whose holder sees nothing closer would never shorten. Returns
-    the new memory and the outgoing sends.
+    Merges delivered introductions and answers each reversal request
+    Rev(v) by introducing itself to v, unless v is the node itself. Then
+    keeps only the closest id on each side and delegates the rest toward
+    their sorted positions: each dropped id w gets Rev(v) for the next id
+    v on its way, and its answer hands v the edge. The kept neighbours
+    receive the node's own id, so a surviving edge becomes known at both
+    ends; without this a crossing edge whose holder sees nothing closer
+    would never shorten. The own id sits on neither side, so it is never
+    kept. Returns the new memory and the outgoing sends.
     """
     sends: list[Send] = []
     mem = set(mem)
     for msg in delivered:
         if isinstance(msg, Base):
-            for v in msg.payload:
-                if v != self_id:
-                    mem.add(v)
-        elif isinstance(msg, Rev):
-            sends.extend(handle_rev(self_id, msg))
+            mem.add(msg.id)
+        elif isinstance(msg, Rev) and msg.dest != self_id:
+            sends.append((msg.dest, Base(self_id)))
 
     ordered = sorted(mem)
     lset = ordered[:bisect_left(ordered, self_id)]
@@ -81,12 +60,12 @@ def base_step(self_id: NodeId, mem: set[NodeId],
     new_mem = set()
     if lset:
         new_mem.add(lset[-1])
-        sends.append((lset[-1], Base(payload=(self_id,))))
+        sends.append((lset[-1], Base(self_id)))
         for i in range(len(lset) - 1):
-            sends.append(dr_delegate(self_id, lset[i], lset[i + 1]))
+            sends.append((lset[i], Rev(lset[i + 1])))
     if rset:
         new_mem.add(rset[0])
-        sends.append((rset[0], Base(payload=(self_id,))))
+        sends.append((rset[0], Base(self_id)))
         for i in range(1, len(rset)):
-            sends.append(dr_delegate(self_id, rset[i], rset[i - 1]))
+            sends.append((rset[i], Rev(rset[i - 1])))
     return new_mem, sends

@@ -132,12 +132,11 @@ class PathMinus:
 @dataclass(frozen=True, slots=True)
 class Rev:
     dest: NodeId
-    payload: tuple[NodeId, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Base:
-    payload: tuple[NodeId, ...]
+    id: NodeId
 
 
 Message = (

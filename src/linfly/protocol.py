@@ -70,8 +70,8 @@ SORT_KEYS = {
     Verified: lambda m: (VERIFIED_KINDS.index(m.kind), m.id),
     PathPlus: attrgetter("id"),
     PathMinus: attrgetter("id"),
-    Rev: attrgetter("dest", "payload"),
-    Base: attrgetter("payload"),
+    Rev: attrgetter("dest"),
+    Base: attrgetter("id"),
 }
 
 # The kinds each guarded step reads; without them it must change nothing.

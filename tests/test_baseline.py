@@ -1,6 +1,6 @@
-"""Base linearization rule and the two-round delegation primitive."""
+"""Base linearization rule and its two-round delegation by reversal."""
 
-from linfly.baseline import base_step, dr_delegate, flush, handle_rev
+from linfly.baseline import base_step, flush
 from linfly.core import Base, Rev
 
 
@@ -17,47 +17,42 @@ def test_flush_drops_self_and_none():
 
 
 def test_delegate_shape():
-    # node 5 hands its edge to 1 over to 2
-    dest, msg = dr_delegate(5, 1, 2)
-    assert dest == 1
-    assert msg == Rev(dest=2, payload=(1,))
+    # node 5 hands its edge to 1 over to 2: a reversal request to 1 naming
+    # 2, after the introduction to the kept 2
+    _, sends = base_step(5, {1, 2}, [])
+    assert sends == [(2, Base(id=5)), (1, Rev(dest=2))]
 
 
-def test_handle_rev_named_head_forwards_payload():
-    sends = handle_rev(1, Rev(dest=2, payload=(1, 7)))
-    assert sends == [(2, Base(payload=(1, 7)))]
-
-
+# a reversal request Rev(dest) asks its receiver to introduce itself to dest
 def test_handle_rev_other_receiver_introduces_self():
-    sends = handle_rev(4, Rev(dest=2, payload=(1,)))
-    assert sends == [(2, Base(payload=(4,)))]
+    assert base_step(4, set(), [Rev(dest=2)]) == (set(), [(2, Base(id=4))])
 
 
 def test_handle_rev_self_destination_suppressed():
-    assert handle_rev(2, Rev(dest=2, payload=(1,))) == []
+    assert base_step(2, set(), [Rev(dest=2)]) == (set(), [])
 
 
 def test_base_step_left_delegation():
     # neighbors {1, 2} at node 5: keep 2, delegate 1 toward 2
     mem, sends = base_step(5, {1, 2}, [])
     assert mem == {2}
-    assert (1, Rev(dest=2, payload=(1,))) in sends
-    assert (2, Base(payload=(5,))) in sends
+    assert (1, Rev(dest=2)) in sends
+    assert (2, Base(id=5)) in sends
     assert len(sends) == 2
 
 
 def test_base_step_right_delegation_mirrors():
     mem, sends = base_step(5, {7, 9}, [])
     assert mem == {7}
-    assert (9, Rev(dest=7, payload=(9,))) in sends
-    assert (7, Base(payload=(5,))) in sends
+    assert (9, Rev(dest=7)) in sends
+    assert (7, Base(id=5)) in sends
 
 
 def test_base_step_single_neighbor_keeps_and_introduces():
     mem, sends = base_step(5, {6}, [])
     assert mem == {6}
     # no delegation; only the introduction that keeps the edge mutual
-    assert sends == [(6, Base(payload=(5,)))]
+    assert sends == [(6, Base(id=5))]
 
 
 def test_base_step_empty_is_noop():
@@ -65,13 +60,15 @@ def test_base_step_empty_is_noop():
 
 
 def test_base_step_merges_delivered_intros():
-    mem, _ = base_step(5, set(), [Base(payload=(3,)), Base(payload=(8,))])
+    mem, _ = base_step(5, set(), [Base(id=3), Base(id=8)])
     assert mem == {3, 8}
 
 
 def test_base_step_answers_rev():
-    _, sends = base_step(4, set(), [Rev(dest=2, payload=(1,))])
-    assert (2, Base(payload=(4,))) in sends
+    # the answer goes out before the node's own keep and delegate sends
+    mem, sends = base_step(4, {1, 3}, [Rev(dest=2)])
+    assert mem == {3}
+    assert sends == [(2, Base(id=4)), (3, Base(id=4)), (1, Rev(dest=3))]
 
 
 def test_delegation_net_effect_two_rounds():

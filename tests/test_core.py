@@ -90,7 +90,7 @@ def test_address_ids_excludes_own_flyid():
 
 def test_clone_is_independent():
     st = NodeState(id=1, L=[0], base_mem={2})
-    st.channel = [Base(payload=(2,))]
+    st.channel = [Base(id=2)]
     cp = st.clone()
     cp.L.append(9)
     cp.base_mem.add(9)
@@ -139,10 +139,8 @@ ID_TABLE = [
     (Verified(kind="sib+", id=12), (12,)),
     (PathPlus(id=13), (13,)),
     (PathMinus(id=14), (14,)),
-    (Rev(dest=3, payload=(1, 2)), (3, 1, 2)),
     (Rev(dest=3), (3,)),
-    (Base(payload=(4,)), (4,)),
-    (Base(payload=(4, 0, 4)), (4, 0, 4)),
+    (Base(id=4), (4,)),
 ]
 
 
@@ -322,7 +320,7 @@ def test_edge_sets():
     a = NodeState(id=1, L=[2, 1], R=[9])
     a.base_mem = {1, 4}
     a.c_ids = {1}
-    a.channel = [Base(payload=(3, 4, 1, 9)), Intro(id=1)]
+    a.channel = [Base(id=3), Rev(dest=4), Base(id=1), Rev(dest=9), Intro(id=1)]
     c = NodeState(id=3)
     c.flyid = 1
     cfg = Configuration(nodes={1: a, 2: NodeState(id=2), 3: c, 4: NodeState(id=4)})

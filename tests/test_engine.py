@@ -195,7 +195,7 @@ def test_step_two_nodes_exchange_introductions():
         st = cfg.nodes[u]
         assert st.base_mem == {peer}
         intro = [m for m in st.channel if isinstance(m, Base)]
-        assert intro and intro[0].payload == (peer,)
+        assert intro and intro[0].id == peer
 
 
 def test_step_round_is_deterministic():
@@ -734,7 +734,7 @@ def test_run_monitors_match_the_public_checks(monkeypatch, topology, supervisor)
         absent = max(config.nodes) + 1
         for u in sorted(config.nodes)[::3]:
             config.nodes[u].channel += [
-                Intro(absent), Base((absent, u)), Rev(absent, (u,)),
+                Intro(absent), Base(absent), Base(u), Rev(absent), Rev(u),
                 IntroCert(u), TestFlyID(None), Advice(2, 1, 1, None, 1),
             ]
         return config

@@ -57,14 +57,14 @@ SIZES = (8, 32)
 SEED = 1
 
 ROUND_DIGESTS = {
-    "honest": "1bda76cd7ae08ee78f79e38da10b429425f08e170bd03eaa2056658f9fbb3af6",
-    "none": "5f523869e3b9d60bd05bc9f1365d3f5e8278ec6545713e45caf08f4d155305c4",
-    "split": "781f7cd52a848390e4da543ae286003ea167104c49cfa1c717ee5f2ea9ce45a2",
-    "sybil": "86b2ea3aefdb2f881c9029d3fe1291915a95b4db904fe498137784840d7492b6",
-    "wrong_vids": "8aa38546ddbbdcd0830da34c9d381399c52360d9877bb37bd0d0648539ebb399",
-    "cycle": "2012b568a416104f2a7c334be4819d3d6b89e977cc25eeff176c95e15ab408a1",
-    "partial": "c45ea1f321ca88ebe7b4bf2d032fc1d479ca5bd372791d2961bd5468e00366b0",
-    "stale": "b06436a4f87fd77e59a1fa0f5a147b97f8fe6aaa240ee74430bfb983bdda5e4c",
+    "honest": "28a510bd7d5f39faf272fe59d149e9643f7103ee579aad4625cc571e4d1880b2",
+    "none": "81331633e7c594214071c33362d0965c962a0af248d819a87114309455155584",
+    "split": "59cfd8a50cc7de682f8a096a6f3da1827f0604749a390aae84ff6950dd645590",
+    "sybil": "9ecd2db50c262781f015c15ee26722918b802bfd2e5b8ad653189c9609a69452",
+    "wrong_vids": "4806d6149c4d90645a81f93f9330b1119500847624a9fbfb1e24e4638e373abe",
+    "cycle": "fd25be42a529b0554b82822d5eff7a5651c2fecf547c3f0cdbb9057fab1959fe",
+    "partial": "06ad892a3e5fd755ceeade7be291b28c4d850a903be8277d935ada8770c56191",
+    "stale": "9f77f25f86263a5b67818eb6d2f07e2f5aa68b301ca99181573be6eed66626e4",
 }
 
 CLI_DIGESTS = {
@@ -92,11 +92,11 @@ RUN_DIGESTS = {
 
 
 LONG_DIGESTS = {
-    ("far_pair", 96): "d90d7d1295f6601cf9c6eb7546be69a4c82de9b5a062ada4c5147671a4e364ec",
-    ("random_connected", 128): "9db48a89af077c8cd1b9d9d633a6e325c034e8e19d386eaf7679a63037bb76a7",
+    ("far_pair", 96): "575af4b3536841957c11e955959418be773d2b178bd796e7b55f4ebbe0d1364b",
+    ("random_connected", 128): "91d45261135ee47d4816386aebb137d6381e4dece5285366ba697047c30bec9e",
 }
 
-SEED_DIGEST = "f682746819da7110915603557e981fefa9f4425e68093793d19906300545fffe"
+SEED_DIGEST = "ac25d0aa5b1b609683b21012adf93da5a69f121665e91c27334a0a70ee395a84"
 
 
 def _grid():

@@ -193,8 +193,8 @@ REFERENCE_KEYS = {
     Verified: lambda m: (VERIFIED_KINDS.index(m.kind), m.id),
     PathPlus: lambda m: m.id,
     PathMinus: lambda m: m.id,
-    Rev: lambda m: (m.dest, m.payload),
-    Base: lambda m: m.payload,
+    Rev: lambda m: m.dest,
+    Base: lambda m: m.id,
 }
 
 
@@ -358,31 +358,29 @@ def _reference_base_step(self_id, mem, delivered):
     sends = []
     mem = set(mem)
     for msg in delivered:
-        if isinstance(msg, Base):
-            mem.update(v for v in msg.payload if v != self_id)
+        if isinstance(msg, Base) and msg.id != self_id:
+            mem.add(msg.id)
         elif isinstance(msg, Rev) and msg.dest != self_id:
-            head = msg.payload[:1] == (self_id,)
-            sends.append((msg.dest, Base(payload=msg.payload if head else (self_id,))))
+            sends.append((msg.dest, Base(id=self_id)))
     lset = sorted(v for v in mem if v < self_id)
     rset = sorted(v for v in mem if v > self_id)
     new_mem = set()
     if lset:
         new_mem.add(lset[-1])
-        sends.append((lset[-1], Base(payload=(self_id,))))
-        sends += [(lset[i], Rev(dest=lset[i + 1], payload=(lset[i],)))
+        sends.append((lset[-1], Base(id=self_id)))
+        sends += [(lset[i], Rev(dest=lset[i + 1]))
                   for i in range(len(lset) - 1)]
     if rset:
         new_mem.add(rset[0])
-        sends.append((rset[0], Base(payload=(self_id,))))
-        sends += [(rset[i], Rev(dest=rset[i - 1], payload=(rset[i],)))
+        sends.append((rset[0], Base(id=self_id)))
+        sends += [(rset[i], Rev(dest=rset[i - 1]))
                   for i in range(1, len(rset))]
     return new_mem, sends
 
 
 base_ids = hs.integers(min_value=0, max_value=12)
-base_payloads = hs.lists(base_ids, max_size=3).map(tuple)
-base_bags = hs.lists(hs.builds(Base, base_payloads)
-                     | hs.builds(Rev, base_ids, base_payloads), max_size=6)
+base_bags = hs.lists(hs.builds(Base, base_ids) | hs.builds(Rev, base_ids),
+                     max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,8 +389,8 @@ base_bags = hs.lists(hs.builds(Base, base_payloads)
 @example(self_id=5, mem={5}, delivered=[])
 @example(self_id=5, mem={1, 2, 5}, delivered=[])
 @example(self_id=5, mem={5, 8, 9}, delivered=[])
-@example(self_id=0, mem={0, 3, 4}, delivered=[Base(payload=(0,))])
-@example(self_id=12, mem={2, 12}, delivered=[Rev(dest=3, payload=(12, 4))])
+@example(self_id=0, mem={0, 3, 4}, delivered=[Base(id=0)])
+@example(self_id=12, mem={2, 12}, delivered=[Rev(dest=12), Rev(dest=3)])
 def test_base_step_matches_the_comprehension_split(self_id, mem, delivered):
     # mem may hold the node's own id: it sits on neither side and is dropped
     before = set(mem)
