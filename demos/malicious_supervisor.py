@@ -2,7 +2,9 @@
 
 Runs one seeded scenario once per supervisor mode and tabulates how
 long legality took, whether bad advice got rejected, and whether any
-fabricated id ever leaked into node memory.
+fabricated id ever leaked into node memory. The closing line sums up the
+table: how many runs ended legal, the id leaks over all runs, and the
+lying modes under which every dual node rejected.
 
     python3 demos/malicious_supervisor.py --n 32 --seed 3
 """
@@ -10,6 +12,7 @@ fabricated id ever leaked into node memory.
 import argparse
 
 from linfly.engine import SUPERVISOR_MODES, Scenario, run
+from linfly.supervisor import STRATEGIES
 
 
 def main():
@@ -24,14 +27,22 @@ def main():
              f"{'advice rounds':>14} {'id leaks':>9}"
     print(header)
     print("-" * len(header))
+    metrics = {}
     for mode in SUPERVISOR_MODES:
         res = run(Scenario(n=args.n, topology=args.topology,
                            supervisor=mode, seed=args.seed))
-        m = res.metrics
+        m = metrics[mode] = res.metrics
         print(f"{mode:<12} {str(m.rounds_to_legal):>8} "
               f"{str(m.rounds_to_all_reject):>12} "
               f"{str(res.advice_rounds):>14} {m.sybil_violations:>9}")
-    print("\nEvery mode ends legal; lying only costs rounds, never safety.")
+    legal = sum(m.rounds_to_legal is not None for m in metrics.values())
+    leaks = sum(m.sybil_violations for m in metrics.values())
+    caught = [mode for mode in STRATEGIES
+              if metrics[mode].rounds_to_all_reject is not None]
+    named = f": {', '.join(caught)}" if caught else ""
+    print(f"\n{legal} of {len(metrics)} runs end legal, with {leaks} id leaks; "
+          f"every dual node rejected under {len(caught)} of "
+          f"{len(STRATEGIES)} lying modes{named}.")
 
 
 if __name__ == "__main__":
