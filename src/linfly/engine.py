@@ -69,12 +69,13 @@ from .core import (
 # to prove the provenance audit actually fires on misbehaving nodes. A
 # round function must not mutate its delivered list: replay keys on it.
 from .protocol import node_round
-from .supervisor import STRATEGIES, honest_step, make_supervisor
+from . import supervisor
+from .supervisor import honest_step, make_supervisor
 from .ttp import decode_pruefer
 
 CORRUPTIONS = ("none", "garbage_flyover_vars", "stale_channel_messages", "all")
 
-SUPERVISOR_MODES = ("honest", "none") + STRATEGIES
+SUPERVISOR_MODES = ("honest", "none") + supervisor.STRATEGIES
 
 
 # --- scenarios and metrics --------------------------------------------------
@@ -652,7 +653,7 @@ def start(scenario: Scenario,
     mode = scenario.supervisor.replace("-", "_")
     if mode == "honest":
         config.supervisor = make_supervisor(set(config.ids()), "honest")
-    elif mode in STRATEGIES:
+    elif mode in supervisor.STRATEGIES:  # read per call: strategies may be added
         config.supervisor = make_supervisor(set(config.ids()), "malicious", mode)
     elif mode != "none":
         raise ValueError(f"unknown supervisor {scenario.supervisor!r}")

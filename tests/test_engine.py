@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from linfly import engine
+import linfly.supervisor as supervisor_mod
 from linfly.baseline import Base
 from linfly.core import (
     Advice,
@@ -822,6 +823,21 @@ def test_unknown_scenario_names_are_rejected(fn, name):
     scenario = dataclasses.replace(Scenario(n=8), **{name: "bogus"})
     with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
         fn(scenario)
+
+
+def test_a_strategy_registered_at_run_time_reaches_the_engine(monkeypatch):
+    # a test registers a strategy by patching these two names alone; start
+    # must read them per call, as make_supervisor and malicious_step do
+    echo = {"echo": lambda snapshot, membership: supervisor_mod.compute_advice(snapshot)}
+    monkeypatch.setattr(supervisor_mod, "_STRATEGY_FNS",
+                        {**supervisor_mod._STRATEGY_FNS, **echo})
+    monkeypatch.setattr(supervisor_mod, "STRATEGIES",
+                        supervisor_mod.STRATEGIES + ("echo",))
+    res = run(Scenario(n=8, supervisor="echo"))
+    assert res.config.supervisor.strategy == "echo"
+    assert res.config.supervisor.advice_rounds
+    assert is_legal(res.config)
+    assert res.metrics.sybil_violations == 0
 
 
 def test_start_takes_either_spelling_of_a_mode():
