@@ -56,7 +56,7 @@ def test_criterion_02_connectivity_across_all_scenarios():
     print(f"criterion 2: {runs} runs, 0 connectivity violations")
 
 
-def test_criterion_03_honest_convergence_is_logarithmic():
+def _criterion_03(topology):
     sizes = (8, 16, 32, 64, 128, 256)
     legal_rounds = {}
     worst = {}
@@ -64,7 +64,7 @@ def test_criterion_03_honest_convergence_is_logarithmic():
         bound = 16 * _log2ceil(n)
         vals = []
         for seed in range(20):
-            res = run(Scenario(n=n, topology="random_connected",
+            res = run(Scenario(n=n, topology=topology,
                                supervisor="honest", seed=seed))
             legal = res.metrics.rounds_to_legal
             assert legal is not None
@@ -77,8 +77,18 @@ def test_criterion_03_honest_convergence_is_logarithmic():
     ratios = [legal_rounds[256][s] / legal_rounds[16][s] for s in range(20)]
     mean_ratio = sum(ratios) / len(ratios)
     assert mean_ratio <= 2.5
-    print(f"criterion 3: worst rounds-after-advice {worst}, "
+    print(f"criterion 3 on {topology}: worst rounds-after-advice {worst}, "
           f"mean 256/16 ratio {mean_ratio:.2f}")
+
+
+def test_criterion_03_honest_convergence_is_logarithmic():
+    _criterion_03("random_connected")
+
+
+def test_criterion_03_on_shuffled_path():
+    # the start where unassisted runs need Theta(n) rounds: the same bound
+    # and ratio must hold there
+    _criterion_03("shuffled_path")
 
 
 def test_shuffled_path_separates_advice_from_the_base_algorithm():
