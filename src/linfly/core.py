@@ -23,9 +23,9 @@ NodeId = int
 # field order: NodeId gives its value, Optional[NodeId] its value unless
 # None, tuple[NodeId, ...] its items, int and str nothing; any other
 # annotation raises at import. A class with fields gets a derived __init__
-# with the dataclass's parameters, defaults and annotations that stores
-# each field through its slot's descriptor; frozenness, equality, hashing,
-# repr, pickling and replace() stay the dataclass's own.
+# with the dataclass's parameters and annotations that stores each field
+# through its slot's descriptor; frozenness, equality, hashing, repr,
+# pickling and replace() stay the dataclass's own.
 # protocol.SORT_KEYS orders a class's messages.
 
 
@@ -177,7 +177,6 @@ def _derive_init(cls: type) -> Callable[..., None]:
     body = "".join(f"    _set_{n}(self, {n})\n" for n in names)
     exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
     init = namespace["__init__"]
-    init.__defaults__ = generated.__defaults__
     init.__annotations__ = generated.__annotations__
     init.__qualname__ = generated.__qualname__
     return init
