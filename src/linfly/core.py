@@ -12,6 +12,7 @@ import copy
 import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Collection, Mapping, Optional, Sequence, get_args
 
 NodeId = int
@@ -25,8 +26,10 @@ NodeId = int
 # annotation raises at import. A class with fields gets a derived __init__
 # with the dataclass's parameters and annotations that stores each field
 # through its slot's descriptor; frozenness, equality, hashing, repr,
-# pickling and replace() stay the dataclass's own.
-# protocol.SORT_KEYS orders a class's messages.
+# pickling and replace() stay the dataclass's own. It also gets key, the
+# order in which a node processes its messages: its fields in field order,
+# None before any id; a class without fields has key None, since its
+# messages are all equal. So a class's field order is its processing order.
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +49,16 @@ class TestLineL:
 
 @dataclass(frozen=True, slots=True)
 class FlyConstR:
-    w: NodeId
     level: int
     sender: NodeId
+    w: NodeId
 
 
 @dataclass(frozen=True, slots=True)
 class FlyConstL:
-    w: NodeId
     level: int
     sender: NodeId
+    w: NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +73,9 @@ class TestFlyID:
 
 @dataclass(frozen=True, slots=True)
 class TestCert:
-    origin: NodeId
     target_vid: int
     dist: int
+    origin: NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +109,8 @@ class Advice:
 
 @dataclass(frozen=True, slots=True)
 class TestAdvice:
-    dist: int
     sender: NodeId
+    dist: int
 
 
 VERIFIED_KINDS = ("parent", "sib+", "sib-", "child")
@@ -182,8 +185,25 @@ def _derive_init(cls: type) -> Callable[..., None]:
     return init
 
 
+def _derive_key(cls: type) -> Optional[Callable[[Message], object]]:
+    """cls.key by the rule above: attrgetter over the fields, or, where a
+    field is Optional[NodeId], a function compiled like ids() that reads
+    None as -1. Static either way, so cls.key(msg) and msg.key(msg) agree."""
+    fs = fields(cls)
+    if not fs:
+        return None
+    if all(f.type != "Optional[NodeId]" for f in fs):
+        return attrgetter(*(f.name for f in fs))
+    terms = [f"(-1 if m.{f.name} is None else m.{f.name})"
+             if f.type == "Optional[NodeId]" else f"m.{f.name}" for f in fs]
+    namespace: dict = {}
+    exec(f"def key(m):\n    return {', '.join(terms)}\n", namespace)
+    return staticmethod(namespace["key"])
+
+
 for _cls in get_args(Message):
     _cls.ids = _derive_ids(_cls)
+    _cls.key = _derive_key(_cls)
     if fields(_cls):
         _cls.__init__ = _derive_init(_cls)
 

@@ -263,8 +263,9 @@ def inject_faults(config: Configuration, corruption: str = "none",
                 TestVID(rng.randrange(0, n + 2)),
                 RejFlyover(),
                 TestLineR(rid()),
-                FlyConstR(rid(), rng.randrange(1, 4), rid()),
-                TestCert(rid(), rng.randrange(0, n + 2), rng.randrange(0, n + 1)),
+                FlyConstR(w=rid(), level=rng.randrange(1, 4), sender=rid()),
+                TestCert(origin=rid(), target_vid=rng.randrange(0, n + 2),
+                         dist=rng.randrange(0, n + 1)),
                 PathPlus(rid()),
                 PathMinus(rid()),
                 Verified("parent", rid()),

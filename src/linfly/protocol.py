@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Collection, Optional
 
 from .baseline import Send, base_step, flush
@@ -46,33 +45,8 @@ from .core import (
     TestLineR,
     TestVID,
     Verified,
-    VERIFIED_KINDS,
     vouched_ids,
 )
-
-# The order in which a node processes the messages of one class, the only
-# place it is defined. Handlers read one class at a time, so no order
-# between classes is needed; classes without fields need no sort.
-SORT_KEYS = {
-    TestLineR: attrgetter("sender"),
-    TestLineL: attrgetter("sender"),
-    FlyConstR: attrgetter("level", "sender", "w"),
-    FlyConstL: attrgetter("level", "sender", "w"),
-    TestVID: attrgetter("vid"),
-    TestFlyID: lambda m: -1 if m.flyid is None else m.flyid,
-    TestCert: attrgetter("target_vid", "dist", "origin"),
-    IntroCert: attrgetter("sender"),
-    Intro: attrgetter("id"),
-    Neighborhood: attrgetter("members"),
-    Advice: lambda m: (m.vid, m.c_par, m.c_dist,
-                       -1 if m.par is None else m.par, m.dist),
-    TestAdvice: attrgetter("sender", "dist"),
-    Verified: lambda m: (VERIFIED_KINDS.index(m.kind), m.id),
-    PathPlus: attrgetter("id"),
-    PathMinus: attrgetter("id"),
-    Rev: attrgetter("dest"),
-    Base: attrgetter("id"),
-}
 
 # The kinds each guarded step reads; without them it must change nothing.
 CONSTRUCTION_KINDS = frozenset({TestLineR, TestLineL, FlyConstR, FlyConstL})
@@ -244,14 +218,14 @@ def _test_flyover_construction(st: NodeState, out: RoundOutput) -> None:
             out.sends.append((far[0], line(st.id)))
     for i in range(1, min(len(st.R), len(st.L)) + 1):
         for far, near, _line, const in sides:
-            out.sends.append((far[i - 1], const(near[i - 1], i, st.id)))
+            out.sends.append((far[i - 1], const(i, st.id, near[i - 1])))
 
 
 def _test_conn_certificate(st: NodeState, out: RoundOutput) -> None:
     if st.vid > 1 and st.flyid != st.id:
         dest = next_stop(st, st.c_par)
         if dest is not None:
-            out.sends.append((dest, TestCert(st.id, st.c_par, st.c_dist)))
+            out.sends.append((dest, TestCert(st.c_par, st.c_dist, st.id)))
 
 
 def _test_flyover_metadata(st: NodeState, out: RoundOutput,
@@ -310,7 +284,7 @@ def _get_advice(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             st.c_dist = adv.c_dist
             st.dist = adv.dist
             if adv.par is not None:
-                out.sends.append((adv.par, TestAdvice(st.dist, st.id)))
+                out.sends.append((adv.par, TestAdvice(st.id, st.dist)))
     flush(st.base_mem, snap, st.id)
 
 
@@ -414,9 +388,11 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
     by_type: dict[type, list] = defaultdict(list)
     for m in delivered:
         by_type[type(m)].append(m)
+    # one fixed order per class (core's key), so the round does not depend
+    # on delivery order; handlers read one class at a time
     for cls, group in by_type.items():
-        if len(group) > 1 and cls in SORT_KEYS:
-            group.sort(key=SORT_KEYS[cls])
+        if len(group) > 1 and cls.key is not None:
+            group.sort(key=cls.key)
 
     out = RoundOutput()
     _basic_checks(st, RejFlyover in by_type, out)

@@ -121,12 +121,12 @@ ID_TABLE = [
     (RejFlyover(), ()),
     (TestLineR(sender=4), (4,)),
     (TestLineL(sender=5), (5,)),
-    (FlyConstR(w=6, level=2, sender=1), (6, 1)),
-    (FlyConstL(w=7, level=3, sender=2), (7, 2)),
+    (FlyConstR(level=2, sender=1, w=6), (1, 6)),
+    (FlyConstL(level=3, sender=2, w=7), (2, 7)),
     (TestVID(vid=3), ()),
     (TestFlyID(flyid=2), (2,)),
     (TestFlyID(flyid=None), ()),
-    (TestCert(origin=8, target_vid=4, dist=1), (8,)),
+    (TestCert(target_vid=4, dist=1, origin=8), (8,)),
     (IntroCert(sender=9), (9,)),
     (RequestSnapshot(), ()),
     (Intro(id=10), (10,)),
@@ -134,7 +134,7 @@ ID_TABLE = [
     (Neighborhood(members=()), ()),
     (Advice(vid=2, c_par=1, c_dist=1, par=9, dist=1), (9,)),
     (Advice(vid=1, c_par=0, c_dist=0, par=None, dist=0), ()),
-    (TestAdvice(dist=2, sender=11), (11,)),
+    (TestAdvice(sender=11, dist=2), (11,)),
     (Verified(kind="sib+", id=12), (12,)),
     (PathPlus(id=13), (13,)),
     (PathMinus(id=14), (14,)),

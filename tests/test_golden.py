@@ -57,14 +57,14 @@ SIZES = (8, 32)
 SEED = 1
 
 ROUND_DIGESTS = {
-    "honest": "28a510bd7d5f39faf272fe59d149e9643f7103ee579aad4625cc571e4d1880b2",
-    "none": "81331633e7c594214071c33362d0965c962a0af248d819a87114309455155584",
-    "split": "59cfd8a50cc7de682f8a096a6f3da1827f0604749a390aae84ff6950dd645590",
-    "sybil": "9ecd2db50c262781f015c15ee26722918b802bfd2e5b8ad653189c9609a69452",
-    "wrong_vids": "4806d6149c4d90645a81f93f9330b1119500847624a9fbfb1e24e4638e373abe",
-    "cycle": "fd25be42a529b0554b82822d5eff7a5651c2fecf547c3f0cdbb9057fab1959fe",
-    "partial": "06ad892a3e5fd755ceeade7be291b28c4d850a903be8277d935ada8770c56191",
-    "stale": "9f77f25f86263a5b67818eb6d2f07e2f5aa68b301ca99181573be6eed66626e4",
+    "honest": "f162f30e9bb81ff41d1337ea325a6632479d5b786676be411adbb7ffcfe6d763",
+    "none": "f4a73057d7f77f8f3afe663c19ef28dbfcd37e31027051ca6dfb19f4d85b154f",
+    "split": "aa197a2990deb8c40a16f4d5848bf0388518772c297843c2eb4377093ce36a36",
+    "sybil": "23ba3922f1855894f1a422ffd7910695a90de264b3ccd4ff21a1d86ed38272e1",
+    "wrong_vids": "806ad3af36dbdeb7ec8cbcc2ce486824abc0553b081a317eea05d395ca8d7029",
+    "cycle": "68e32ff496cb6a1ef8a664eabe829ecb84ab0475a65b94e0e0ccee14c2536080",
+    "partial": "e16e73ea696cb55b5eb336a201e92971beb5ff5427cb5b4bd41a7412d37b0b96",
+    "stale": "63f8cc40a36a9050efe1cd15b0a7ea4555c07bfeb16de2f3b31670b3b8972eb4",
 }
 
 CLI_DIGESTS = {
@@ -96,7 +96,7 @@ LONG_DIGESTS = {
     ("random_connected", 128): "91d45261135ee47d4816386aebb137d6381e4dece5285366ba697047c30bec9e",
 }
 
-SEED_DIGEST = "ac25d0aa5b1b609683b21012adf93da5a69f121665e91c27334a0a70ee395a84"
+SEED_DIGEST = "9dc19f7af3ffbc158783180526fe69a3f12161b146c23587525489e91dcef02e"
 
 
 def _grid():

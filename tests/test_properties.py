@@ -54,7 +54,7 @@ from linfly.engine import (
     step_round,
 )
 from linfly import engine, protocol
-from linfly.protocol import SORT_KEYS, RoundOutput, next_stop, node_round
+from linfly.protocol import RoundOutput, next_stop, node_round
 from linfly.supervisor import STRATEGIES, make_supervisor
 from linfly.ttp import LabelledRootedTree, oracle_is_valid_output, tree_to_path
 from test_reference import _agree
@@ -175,7 +175,7 @@ def test_message_fields_read_back_what_was_passed(data):
 
 
 # The order in which a node processes the messages of one class, written out
-# here independently of protocol.SORT_KEYS; classes without fields have none.
+# here independently of the keys core derives; classes without fields have none.
 REFERENCE_KEYS = {
     TestLineR: lambda m: m.sender,
     TestLineL: lambda m: m.sender,
@@ -190,7 +190,7 @@ REFERENCE_KEYS = {
     Advice: lambda m: (m.vid, m.c_par, m.c_dist,
                        -1 if m.par is None else m.par, m.dist),
     TestAdvice: lambda m: (m.sender, m.dist),
-    Verified: lambda m: (VERIFIED_KINDS.index(m.kind), m.id),
+    Verified: lambda m: (m.kind, m.id),
     PathPlus: lambda m: m.id,
     PathMinus: lambda m: m.id,
     Rev: lambda m: m.dest,
@@ -202,36 +202,38 @@ REFERENCE_KEYS = {
 @example(bag=[FlyConstR(w=0, level=2, sender=1), FlyConstR(w=0, level=1, sender=2)])
 @example(bag=[TestFlyID(None), TestFlyID(0)])
 def test_sort_keys_match_the_reference_order(bag):
-    assert set(SORT_KEYS) == set(REFERENCE_KEYS)
+    assert set(REFERENCE_KEYS) == {cls for cls in MESSAGE_CLASSES
+                                   if cls.key is not None}
     for m in bag:
         cls = type(m)
         if cls.__dataclass_fields__:
-            assert SORT_KEYS[cls](m) == REFERENCE_KEYS[cls](m)
+            assert cls.key(m) == REFERENCE_KEYS[cls](m)
         else:
-            assert cls not in SORT_KEYS
+            assert cls.key is None
 
 
-def _draw_node(data, node_id=None) -> NodeState:
+@hs.composite
+def node_states(draw, node_id=None) -> NodeState:
     if node_id is None:
-        node_id = data.draw(ids_strategy)
-    if data.draw(hs.booleans()):
+        node_id = draw(ids_strategy)
+    if draw(hs.booleans()):
         # an idle node in the advice window, so the pipeline runs too
-        return NodeState(id=node_id, t=data.draw(hs.integers(min_value=0, max_value=6)),
-                         dist=data.draw(hs.integers(min_value=0, max_value=3)),
-                         base_mem=data.draw(id_sets))
+        return NodeState(id=node_id, t=draw(hs.integers(min_value=0, max_value=6)),
+                         dist=draw(hs.integers(min_value=0, max_value=3)),
+                         base_mem=draw(id_sets))
     return NodeState(
         id=node_id,
-        L=data.draw(id_lists),
-        R=data.draw(id_lists),
-        vid=data.draw(hs.integers(min_value=0, max_value=9)),
-        flyid=data.draw(ids_strategy | hs.none()),
-        c_par=data.draw(hs.integers(min_value=0, max_value=9)),
-        c_dist=data.draw(hs.integers(min_value=-1, max_value=9)),
-        c_ids=data.draw(id_sets),
-        t=data.draw(hs.integers(min_value=-1, max_value=6)),
-        dist=data.draw(hs.integers(min_value=0, max_value=9)),
-        base_mem=data.draw(id_sets),
-        exit=data.draw(hs.integers(min_value=0, max_value=1)),
+        L=draw(id_lists),
+        R=draw(id_lists),
+        vid=draw(hs.integers(min_value=0, max_value=9)),
+        flyid=draw(ids_strategy | hs.none()),
+        c_par=draw(hs.integers(min_value=0, max_value=9)),
+        c_dist=draw(hs.integers(min_value=-1, max_value=9)),
+        c_ids=draw(id_sets),
+        t=draw(hs.integers(min_value=-1, max_value=6)),
+        dist=draw(hs.integers(min_value=0, max_value=9)),
+        base_mem=draw(id_sets),
+        exit=draw(hs.integers(min_value=0, max_value=1)),
     )
 
 
@@ -240,14 +242,23 @@ def _round_outcome(node: NodeState, delivered: list):
     return (after.to_record(), out.sends, out.to_supervisor, out.did_reject)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=hs.data())
-def test_node_round_ignores_delivery_order(data):
-    node = _draw_node(data)
-    bag = data.draw(hs.lists(messages, max_size=10))
+@hs.composite
+def shuffled_bags(draw) -> tuple[list, list]:
+    """A list of messages, some of them repeated, and a permutation of it."""
+    bag = draw(hs.lists(messages, max_size=10))
     if bag:
-        bag += data.draw(hs.lists(hs.sampled_from(bag), max_size=3))
-    shuffled = data.draw(hs.permutations(bag))
+        bag += draw(hs.lists(hs.sampled_from(bag), max_size=3))
+    return bag, draw(hs.permutations(bag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=node_states(), bags=shuffled_bags())
+# a kind outside VERIFIED_KINDS next to a claim: both must still sort
+@example(node=NodeState(id=5, t=3, dist=1),
+         bags=([Verified("bogus", 1), Verified("parent", 2)],
+               [Verified("parent", 2), Verified("bogus", 1)]))
+def test_node_round_ignores_delivery_order(node, bags):
+    bag, shuffled = bags
     want = _round_outcome(node, bag)
     assert _round_outcome(node, shuffled) == want
     assert _round_outcome(node, bag[::-1]) == want
@@ -256,7 +267,7 @@ def test_node_round_ignores_delivery_order(data):
 @settings(max_examples=300, deadline=None)
 @given(data=hs.data())
 def test_node_round_only_uses_known_ids(data):
-    node = _draw_node(data)
+    node = data.draw(node_states())
     delivered = data.draw(hs.lists(messages, max_size=10))
     # every id referenced this round must have been in the node's own
     # registers or handed over by a node-originated delivered message
@@ -509,7 +520,7 @@ def test_step_round_matches_the_reference_on_drawn_configurations(data):
     # seeded scenario reaches
     nodes = {}
     for u in data.draw(hs.lists(ids_strategy, min_size=1, max_size=6, unique=True)):
-        nodes[u] = _draw_node(data, u)
+        nodes[u] = data.draw(node_states(u))
         nodes[u].channel = data.draw(hs.lists(messages, max_size=6))
     mode = data.draw(hs.sampled_from(SUPERVISOR_MODES))
     supervisor = None

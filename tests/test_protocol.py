@@ -7,6 +7,7 @@ import pytest
 
 from linfly.core import (
     Advice,
+    Base,
     FlyConstL,
     FlyConstR,
     Intro,
@@ -202,7 +203,7 @@ def test_probe_emission_order_is_pinned():
         (40, FlyConstL(w=60, level=1, sender=50)),
         (70, FlyConstR(w=30, level=2, sender=50)),
         (30, FlyConstL(w=70, level=2, sender=50)),
-        (30, TestCert(50, 1, 4)),
+        (30, TestCert(target_vid=1, dist=4, origin=50)),
         (60, TestVID(6)),
         (70, TestVID(7)),
         (40, TestVID(4)),
@@ -405,7 +406,7 @@ def test_advice_accepted_in_window():
     adv = Advice(vid=2, c_par=1, c_dist=1, par=7, dist=1)
     new, out = run_node(st, [adv, Intro(2), Intro(7)])
     assert new.vid == 2 and new.c_par == 1 and new.c_dist == 1 and new.dist == 1
-    assert (7, TestAdvice(1, 4)) in out.sends
+    assert (7, TestAdvice(sender=4, dist=1)) in out.sends
 
 
 def test_advice_with_unknown_parent_ignored():
@@ -428,7 +429,7 @@ def test_advice_outside_window_ignored():
 
 def test_certify_tree_orders_children():
     st = NodeState(id=4, t=4, dist=1)
-    new, out = run_node(st, [TestAdvice(2, 6), TestAdvice(2, 2)])
+    new, out = run_node(st, [TestAdvice(sender=6, dist=2), TestAdvice(sender=2, dist=2)])
     kinds = [(d, m.kind, m.id) for d, m in out.sends if isinstance(m, Verified)]
     assert (2, "parent", 4) in kinds and (6, "parent", 4) in kinds
     assert (2, "sib+", 6) in kinds and (6, "sib-", 2) in kinds
@@ -438,7 +439,7 @@ def test_certify_tree_orders_children():
 
 def test_certify_tree_rejects_distance_gap():
     st = NodeState(id=4, t=4, dist=1)
-    _, out = run_node(st, [TestAdvice(3, 6)])
+    _, out = run_node(st, [TestAdvice(sender=6, dist=3)])
     assert not any(isinstance(m, Verified) for _, m in out.sends)
 
 
@@ -472,6 +473,21 @@ def test_transform_unknown_kind_fills_no_slot(t, kept):
     # its id is dropped, outside it the id is kept like any ignored claim
     new, _ = run_node(NodeState(id=4, t=t, dist=1), [Verified("bogus", 9)])
     assert new.base_mem == kept
+
+
+@pytest.mark.parametrize("bag", [
+    [Verified("bogus", 1), Verified("parent", 2)],
+    [Verified("parent", 2), Verified("bogus", 1)],
+])
+def test_transform_unknown_kind_beside_a_claim(bag):
+    # messages of one class are sorted before the pipeline reads them, and
+    # a kind outside VERIFIED_KINDS sorts like any other string: the claim
+    # still fills its slot and emits the path edge, and the unknown kind's
+    # id gets only the no-flyover notice, never a place in base memory
+    new, out = run_node(NodeState(id=5, t=3, dist=1), bag)
+    assert out.sends == [(1, TestFlyID(None)), (2, TestFlyID(None)),
+                         (2, PathPlus(5)), (5, PathMinus(2)), (2, Base(5))]
+    assert new.base_mem == {2}
 
 
 def test_transform_odd_leaf_points_right():
