@@ -828,9 +828,11 @@ def test_unknown_scenario_names_are_rejected(fn, name):
 def test_a_strategy_registered_at_run_time_reaches_the_engine(monkeypatch):
     # a test registers a strategy by patching these two names alone; start
     # must read them per call, as make_supervisor and malicious_step do
-    echo = {"echo": lambda snapshot, membership: supervisor_mod.compute_advice(snapshot)}
+    def echo(snapshot, membership):  # honest advice under another name
+        return supervisor_mod.compute_advice(snapshot)
+
     monkeypatch.setattr(supervisor_mod, "_STRATEGY_FNS",
-                        {**supervisor_mod._STRATEGY_FNS, **echo})
+                        {**supervisor_mod._STRATEGY_FNS, "echo": echo})
     monkeypatch.setattr(supervisor_mod, "STRATEGIES",
                         supervisor_mod.STRATEGIES + ("echo",))
     res = run(Scenario(n=8, supervisor="echo"))
