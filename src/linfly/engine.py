@@ -318,7 +318,7 @@ def step_round(config: Configuration) -> RoundStats:
     than in rounds() or run(), so that every caller that steps a
     configuration gets it; the library touches the collector nowhere
     else. Between rounds it runs at its normal thresholds, so a cycle
-    made in a round or outside one is still collected.
+    made in a round or outside one is still freed.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -1,10 +1,11 @@
-"""Advice computation and the supervisor round machine.
+"""Advice computation and the supervisor's round.
 
-The honest supervisor waits for every node to become attentive, broadcasts a
-snapshot request, rebuilds the union graph from the Neighborhood reports, and
-answers with per-node advice: a position on a spanning-tree linearization
-plus a certificate of the sorted-path tree. Malicious strategies reuse the
-same request/collect machinery but distort the advice payloads.
+The honest supervisor remembers nothing between rounds. In any round in
+which every node's Neighborhood report arrives and the reports form a
+connected graph, it answers with per-node advice: a position on a
+spanning-tree linearization plus a certificate of the sorted-path tree.
+Whenever every node is attentive it asks for a snapshot. Malicious
+strategies distort the advice.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .ttp import LabelledRootedTree, tree_to_path
 class SupervisorState:
     membership: set[NodeId]
     strategy: Optional[str] = None  # None: honest
-    phase: str = "idle"  # idle | waiting | collecting
-    collected: dict[NodeId, frozenset] = field(default_factory=dict)
     advice_rounds: list[int] = field(default_factory=list)
     round_no: int = 0
 
@@ -48,11 +47,11 @@ def make_supervisor(membership, mode: str = "honest",
     return SupervisorState(membership=set(membership), strategy=strategy)
 
 
-def snapshot_graph(collected: dict[NodeId, frozenset],
+def snapshot_graph(reports: dict[NodeId, frozenset],
                    membership: set[NodeId]) -> dict[NodeId, set[NodeId]]:
     """Union the reported memberships into an undirected graph; ids
     outside the membership, as reporter or as reported, are ignored."""
-    return undirected({u: {v for v in collected.get(u, ())
+    return undirected({u: {v for v in reports.get(u, ())
                            if v in membership and v != u}
                        for u in sorted(membership)})
 
@@ -170,36 +169,31 @@ def honest_step(state: SupervisorState,
                 inbound: list[tuple[NodeId, Message]],
                 attentive: set[NodeId],
                 ) -> tuple[SupervisorState, list[tuple[NodeId, Message]]]:
-    """One supervisor round: collect reports, advise, or wait.
+    """One supervisor round, a function of this round's inputs alone.
 
-    Also drives the malicious modes; they differ only in the advice payload.
+    With at least two members, it advises whenever every member's
+    Neighborhood report is in inbound and the reports form a connected
+    graph, whether or not it asked for them, and then asks every member
+    for a snapshot whenever every member is attentive. Also drives the
+    malicious modes; they differ only in the advice payload.
     Supervisor-to-node messages returned here reach the nodes this round.
     """
     out: list[tuple[NodeId, Message]] = []
-    if state.phase == "collecting":
-        for sender, msg in inbound:
-            if isinstance(msg, Neighborhood) and sender in state.membership:
-                state.collected[sender] = frozenset(msg.members)
-        snap = snapshot_graph(state.collected, state.membership)
-        if (set(state.collected) == state.membership
-                and len(bfs_distances(snap, min(snap))) == len(snap)):
-            if state.strategy is None:
-                advice = compute_advice(snap)
-            else:
-                advice = malicious_step(state.strategy, state.membership, snap)
-            for u in sorted(advice):
-                out.append((u, advice[u]))
-            state.advice_rounds.append(state.round_no)
-            state.phase = "idle"
-        else:
-            state.phase = "waiting"
-        state.collected = {}
-    if state.phase == "idle" and len(state.membership) >= 2 and attentive:
-        state.phase = "waiting"
-    if state.phase == "waiting":
+    if len(state.membership) >= 2:
+        reports = {sender: frozenset(msg.members) for sender, msg in inbound
+                   if isinstance(msg, Neighborhood)}
+        if reports.keys() >= state.membership:
+            snap = snapshot_graph(reports, state.membership)
+            if len(bfs_distances(snap, min(snap))) == len(snap):
+                if state.strategy is None:
+                    advice = compute_advice(snap)
+                else:
+                    advice = malicious_step(state.strategy, state.membership, snap)
+                for u in sorted(advice):
+                    out.append((u, advice[u]))
+                state.advice_rounds.append(state.round_no)
         if attentive >= state.membership:
             for u in sorted(state.membership):
                 out.append((u, RequestSnapshot()))
-            state.phase = "collecting"
     state.round_no += 1
     return state, out

@@ -1,8 +1,10 @@
-"""Advice computation, the supervisor phase machine, and adversaries."""
+"""Advice computation, the supervisor's round, and adversaries."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
 
-from linfly.core import Advice, Neighborhood, RequestSnapshot
+from linfly.core import Advice, Intro, Neighborhood, RequestSnapshot
 from linfly.protocol import well_formed_advice
 from linfly.supervisor import (
     STRATEGIES,
@@ -90,24 +92,28 @@ def test_make_supervisor_validates():
         make_supervisor({1, 2}, "honest", "split")
 
 
-# --- phase machine ----------------------------------------------------------
+# --- the supervisor's round -------------------------------------------------
 
 def neighborhood_reports(adj):
     return [(u, Neighborhood(tuple(sorted(vs)))) for u, vs in adj.items()]
 
 
+def requests(ids):
+    return [(u, RequestSnapshot()) for u in ids]
+
+
 def test_honest_cycle_requests_then_advises():
     sup = make_supervisor({1, 2, 3})
     sup, out = honest_step(sup, [], {1, 2, 3})
-    assert sup.phase == "collecting"
-    assert {d for d, _ in out} == {1, 2, 3}
-    assert all(isinstance(m, RequestSnapshot) for _, m in out)
+    assert out == requests([1, 2, 3])
 
     sup, out = honest_step(sup, neighborhood_reports(PATH3), {1, 2, 3})
     advice = {d: m for d, m in out if isinstance(m, Advice)}
     assert set(advice) == {1, 2, 3}
     assert advice[2].vid == 3
     assert sup.advice_rounds == [1]
+    # every member is still attentive, so the advising round asks again
+    assert out[3:] == requests([1, 2, 3])
 
 
 def test_waiting_until_all_attentive():
@@ -115,7 +121,8 @@ def test_waiting_until_all_attentive():
     for _ in range(4):
         sup, out = honest_step(sup, [], {1})
         assert out == []
-    assert sup.phase == "waiting"
+    sup, out = honest_step(sup, [], {1, 2})
+    assert out == requests([1, 2])
 
 
 def test_disconnected_reports_retry():
@@ -124,16 +131,66 @@ def test_disconnected_reports_retry():
     bad = neighborhood_reports({1: {2}, 2: {1}, 3: set()})
     sup, out = honest_step(sup, bad, {1, 2, 3})
     assert sup.advice_rounds == []
-    # falls back to waiting and immediately re-requests
-    assert any(isinstance(m, RequestSnapshot) for _, m in out)
+    # no advice, and it immediately re-requests
+    assert out == requests([1, 2, 3])
 
 
 def test_singleton_membership_never_advises():
     sup = make_supervisor({1})
     for _ in range(3):
-        sup, out = honest_step(sup, [], {1})
+        sup, out = honest_step(sup, [(1, Neighborhood(()))], {1})
         assert out == []
-    assert sup.phase == "idle"
+    assert sup.advice_rounds == []
+
+
+def test_reports_nobody_asked_for_are_advised_on():
+    sup = make_supervisor({1, 2, 3})
+    sup, out = honest_step(sup, neighborhood_reports(PATH3), set())
+    assert out == sorted(compute_advice(PATH3).items())
+    assert sup.advice_rounds == [0]
+
+
+@hs.composite
+def supervisor_inputs(draw, membership):
+    """One round's (inbound, attentive): reports from members and from ids
+    8 and 9, which are not members, naming members and non-members; every
+    member reports in about half the draws, so complete reports, connected
+    or not, are common. An Intro stands for any message that is not a
+    report."""
+    ids = sorted(membership)
+    wire = ids + [8, 9]
+    senders = draw(hs.just(ids) | hs.lists(hs.sampled_from(wire), max_size=8))
+    inbound = [(u, Neighborhood(tuple(sorted(draw(hs.sets(hs.sampled_from(wire),
+                                                          max_size=4))))))
+               for u in senders]
+    if draw(hs.booleans()):
+        inbound.insert(draw(hs.integers(0, len(inbound))),
+                       (draw(hs.sampled_from(wire)), Intro(ids[0])))
+    attentive = draw(hs.just(set(ids)) | hs.sets(hs.sampled_from(wire)))
+    return inbound, attentive
+
+
+@hs.composite
+def supervisor_histories(draw):
+    membership = draw(hs.sets(hs.integers(0, 7), min_size=2, max_size=6))
+    strategy = draw(hs.sampled_from((None,) + STRATEGIES))
+    history = draw(hs.lists(supervisor_inputs(membership), max_size=6))
+    return membership, strategy, history, draw(supervisor_inputs(membership))
+
+
+@given(case=supervisor_histories())
+@example(case=({1, 2, 3}, None, [([], {1, 2, 3})],
+               (neighborhood_reports(PATH3), set())))
+def test_supervisor_remembers_nothing_between_rounds(case):
+    # a supervisor stepped through any history answers one more round
+    # exactly as a fresh one does
+    membership, strategy, history, last = case
+    mode = "honest" if strategy is None else "malicious"
+    stepped = make_supervisor(membership, mode, strategy)
+    for inbound, attentive in history:
+        stepped, _ = honest_step(stepped, inbound, attentive)
+    fresh = make_supervisor(membership, mode, strategy)
+    assert honest_step(stepped, *last)[1] == honest_step(fresh, *last)[1]
 
 
 # --- malicious strategies ---------------------------------------------------
@@ -149,6 +206,12 @@ def test_split_advises_two_disjoint_paths():
     for half in (left, right):
         assert sorted(a.vid for a in half.values()) == [1, 2]
     assert adv[1].par == 0 and adv[3].par == 2
+
+
+def test_split_leaves_a_one_node_half_unadvised():
+    adv = malicious_step("split", set(PATH3), PATH3)
+    assert set(adv) == {2, 3}
+    assert adv[2].vid == 1 and adv[3].par == 2
 
 
 def test_sybil_names_a_phantom():
