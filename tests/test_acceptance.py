@@ -23,7 +23,7 @@ from linfly.engine import (
     start,
     step_round,
 )
-from linfly.protocol import Advice, next_stop
+from linfly.protocol import Advice, RoundOutput, next_stop
 from linfly.supervisor import STRATEGIES
 from linfly.ttp import verify_all_trees
 
@@ -40,7 +40,7 @@ def test_criterion_01_tree_linearization_exhaustive():
     print(f"criterion 1: {count} tree instances verified")
 
 
-def test_criterion_02_connectivity_across_all_scenarios():
+def test_criterion_02_connectivity_across_all_scenarios(monkeypatch):
     runs = 0
     bad = 0
     for topology, mode, corruption, n in itertools.product(
@@ -53,7 +53,21 @@ def test_criterion_02_connectivity_across_all_scenarios():
         bad += res.metrics.connectivity_violations
     assert runs >= 500
     assert bad == 0
-    print(f"criterion 2: {runs} runs, 0 connectivity violations")
+
+    # negative control: nodes that forget every neighbour and send nothing
+    # leave the graph disconnected, and each of the 3 rounds counts it
+    def forgetful_round(state, delivered):
+        state.base_mem.clear()
+        state.L.clear()
+        state.R.clear()
+        state.c_ids.clear()
+        return state, RoundOutput()
+
+    monkeypatch.setattr(engine_mod, "node_round", forgetful_round)
+    res = run(Scenario(n=8, max_rounds=3))
+    assert res.metrics.connectivity_violations == 3
+    print(f"criterion 2: {runs} runs, 0 connectivity violations; "
+          f"control counted 3")
 
 
 def _criterion_03(topology):

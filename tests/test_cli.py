@@ -63,6 +63,7 @@ def test_unknown_corruption_lists_the_choices(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--n", "0"],
+    ["--n", "abc"],
     ["--n", "8", "--supervisor", "bogus"],
     ["--n", "8", "--topology", "bogus"],
     ["--n", "3", "--topology", "far_pair"],

@@ -684,6 +684,9 @@ def test_run_already_legal_path_stops_at_zero():
 def test_run_single_node():
     res = run(Scenario(n=1, topology="path", supervisor="honest", seed=0))
     assert res.metrics.rounds_to_legal == 0
+    # no designated pair, so no distance to hold a floor to
+    assert res.pair_distances == []
+    assert distance_floor_check(res)
 
 
 def test_run_far_pair_floor_holds():

@@ -115,7 +115,8 @@ FIELD_STRATEGIES = {
     "int": small_ints,
     "Optional[NodeId]": wire_ids | hs.none(),
     "tuple[NodeId, ...]": id_tuples,
-    "str": hs.sampled_from(VERIFIED_KINDS),
+    # Verified kinds, known and unknown: arbitrary channel contents
+    "str": hs.sampled_from(VERIFIED_KINDS) | hs.text("abcdeprst+-", max_size=6),
 }
 
 MESSAGE_CLASSES = typing.get_args(Message)

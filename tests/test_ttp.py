@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from linfly import ttp
 from linfly.ttp import (
     LabelledRootedTree,
     decode_pruefer,
@@ -53,6 +54,11 @@ def test_inconsistent_labels_rejected():
         tree_to_path(LabelledRootedTree(0, {1: 0}, {0: 0, 1: 0}))
 
 
+def test_unknown_parent_rejected():
+    with pytest.raises(ValueError, match="parent 5 of 1 is not a vertex"):
+        tree_to_path(LabelledRootedTree(0, {1: 5}, {0: 0, 1: 1}))
+
+
 def test_path_is_deterministic():
     t = LabelledRootedTree(0, {1: 0, 2: 1, 3: 1, 4: 0}, {0: 0, 1: 1, 2: 0, 3: 0, 4: 1})
     assert tree_to_path(t) == tree_to_path(t)
@@ -78,6 +84,10 @@ def test_oracle_rejects_duplicates():
     assert not oracle_is_valid_output(t, [0, 3, 3, 1])
 
 
+def test_oracle_rejects_a_root_without_children():
+    assert not oracle_is_valid_output(LabelledRootedTree(0, {}, {0: 0}), [0])
+
+
 def test_enumeration_counts():
     trees = list(enumerate_labelled_trees(3))
     # 2 vertices: one shape, two roots, two labellings
@@ -100,6 +110,15 @@ def test_enumeration_caps_at_nine():
 def test_exhaustive_up_to_five():
     # instances: 4 + 18 + 128 + 1250; the full <= 8 sweep runs in acceptance
     assert verify_all_trees(5) == 1400
+
+
+def test_verify_all_trees_raises_on_a_wrong_path(monkeypatch):
+    # criterion 01's negative control: a reversed path breaks the endpoint
+    # rule on every tree, so the sweep must stop at the first one
+    real = ttp.tree_to_path
+    monkeypatch.setattr(ttp, "tree_to_path", lambda tree: real(tree)[::-1])
+    with pytest.raises(AssertionError, match="invalid path"):
+        verify_all_trees(3)
 
 
 # --- Pruefer decoding --------------------------------------------------------
