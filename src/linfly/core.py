@@ -364,10 +364,9 @@ def explicit_out_of(nodes: dict[NodeId, NodeState], u: NodeId) -> set[NodeId]:
 
 
 def implicit_out_of(nodes: dict[NodeId, NodeState], u: NodeId) -> set[NodeId]:
-    """Node u's implicit out-neighbours: the other nodes whose ids are
-    carried by a message in its channel."""
-    return {v for msg in nodes[u].channel for v in msg.ids()
-            if v != u and v in nodes}
+    """Node u's implicit out-neighbours: the other nodes whose ids a message
+    in its channel hands over (vouched_ids: a supervisor message is none)."""
+    return {v for v in vouched_ids(nodes[u].channel) if v != u and v in nodes}
 
 
 def explicit_out(config: Configuration) -> dict[NodeId, set[NodeId]]:

@@ -3,11 +3,14 @@
 Each round a node runs, in order: sanity checks and flyover teardown,
 response handlers for last round's flyover traffic, flyover test senders,
 the advice pipeline (timer, snapshot, advice intake, tree certification,
-local transform, path join), the advised-neighbor transfer, and finally the
-base algorithm. Response handlers run before the test senders so that a
-shortcut level learned from this round's deliveries is propagated in this
-round's sends; that keeps construction at one level per round. An exit flag
-raised by a response handler still takes effect (teardown) only next round.
+local transform, path join), the keep step, and finally the base algorithm.
+The keep step is the one rule for handed ids: every id a delivered message
+of KEPT_KINDS carries, and every certificate id, goes to base memory, so
+ignoring decides only whether the transform or the join acts. Response
+handlers run before the test senders so that a shortcut level learned from
+this round's deliveries is propagated in this round's sends; that keeps
+construction at one level per round. An exit flag raised by a response
+handler still takes effect (teardown) only next round.
 
 A node-round costs what its inputs ask for: each response handler, and the
 advice pipeline as one block, runs only when a message kind it reads (the
@@ -54,6 +57,8 @@ CERTIFICATE_KINDS = frozenset({TestCert, IntroCert})
 METADATA_KINDS = frozenset({TestVID, TestFlyID})
 ADVICE_KINDS = frozenset({RequestSnapshot, Intro, Advice, TestAdvice, Verified,
                           PathPlus, PathMinus})
+# The kinds whose every id the keep step puts into base memory.
+KEPT_KINDS = ADVICE_KINDS - {RequestSnapshot, Advice} | {Neighborhood}
 
 
 @dataclass
@@ -164,7 +169,7 @@ def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput)
                 _reject(st, "const_sender", out)
             if len(near) >= i + 1 and level(i + 1) != w:
                 _reject(st, "const_next", out)
-            if st.exit == 0 and 1 < len(near) < i:
+            if st.exit == 0 and len(near) < i:
                 flush(st.base_mem, (sen, w), st.id)
             if st.exit == 0 and len(near) == i and level(i) == sen:
                 if w != st.id:
@@ -285,7 +290,6 @@ def _get_advice(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             st.dist = adv.dist
             if adv.par is not None:
                 out.sends.append((adv.par, TestAdvice(st.id, st.dist)))
-    flush(st.base_mem, snap, st.id)
 
 
 def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
@@ -297,7 +301,6 @@ def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             ignore = True
     if not ignore and children:
         _setup_local_transform(st, sorted(children), out)
-    flush(st.base_mem, children, st.id)
 
 
 def _setup_local_transform(st: NodeState, children: list[NodeId],
@@ -331,14 +334,13 @@ def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     for m in by_type.get(Verified, ()):
         if m.kind in slots:
             ignore = _claim(slots, m.kind, m.id, ignore)
-        if m.kind == "child" or ignore:
+        elif m.kind == "child":
             children.add(m.id)
     parent, r_sib, l_sib = slots.values()
     if (parent is None and st.dist != 0) or (parent is not None and st.dist < 1):
         ignore = True
     if not ignore and parent is not None:
         _execute_transform(st, parent, r_sib, l_sib, sorted(children), out)
-    flush(st.base_mem, {parent, r_sib, l_sib} | children, st.id)
 
 
 def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
@@ -366,19 +368,12 @@ def _join_path(st: NodeState, by_type: dict) -> None:
     for kind, barred in ((PathPlus, False), (PathMinus, st.vid == 1)):
         for m in by_type.get(kind, ()):
             ignore = _claim(slots, kind, m.id, ignore or barred)
-            if ignore:
-                flush(st.base_mem, (m.id,), st.id)
     fly_r, fly_l = slots.values()
     if not ignore:
         if fly_l is not None and fly_l != st.id:
             st.L = [fly_l]
         if fly_r is not None and fly_r != st.id:
             st.R = [fly_r]
-    flush(st.base_mem, (fly_l, fly_r), st.id)
-
-
-def _transfer_advised(st: NodeState) -> None:
-    flush(st.base_mem, st.c_ids, st.id)
 
 
 def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, RoundOutput]:
@@ -414,7 +409,12 @@ def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, R
         _certify_tree(st, by_type, out)
         _local_transform(st, by_type, out)
         _join_path(st, by_type)
-    _transfer_advised(st)
+    # the keep step
+    for kind, group in by_type.items():
+        if kind in KEPT_KINDS:
+            for m in group:
+                flush(st.base_mem, m.ids(), st.id)
+    flush(st.base_mem, st.c_ids, st.id)
 
     base_msgs = list(by_type.get(Base, ())) + list(by_type.get(Rev, ()))
     st.base_mem, base_sends = base_step(st.id, st.base_mem, base_msgs)

@@ -294,6 +294,16 @@ def test_extract_graph_implicit():
     assert implicit_out(cfg) == {1: {2}, 2: set()}
 
 
+def test_extract_graph_supervisor_message_is_no_edge():
+    # a supervisor message vouches for no id, so the advised parent it
+    # names is no edge, as it is nothing a node may keep
+    a = NodeState(id=1)
+    a.channel = [Advice(vid=2, c_par=1, c_dist=1, par=9, dist=1), RequestSnapshot()]
+    cfg = Configuration(nodes={1: a, 9: NodeState(id=9)})
+    assert implicit_out(cfg) == {1: set(), 9: set()}
+    assert communication_graph(cfg) == {1: set(), 9: set()}
+
+
 def test_extract_graph_explicit_wins():
     # an id both stored and carried is an edge of both kinds, and the
     # communication graph holds it once

@@ -16,11 +16,13 @@ from linfly.baseline import Base
 from linfly.core import (
     Advice,
     Configuration,
+    FlyConstR,
     Intro,
     IntroCert,
     Neighborhood,
     NodeState,
     Rev,
+    Verified,
     bfs_distances,
     communication_graph,
     initial_configuration,
@@ -244,6 +246,28 @@ def test_step_keeps_weak_connectivity():
     for _ in range(12):
         step_round(cfg)
         assert is_weakly_connected(cfg)
+
+
+@pytest.mark.parametrize("msg,registers", [
+    # a construction probe beyond the receiver's only level
+    (FlyConstR(level=2, sender=1, w=2), dict(L=[1], vid=2, c_par=1, c_dist=1)),
+    # a snapshot report resting in a node's channel, which no handler reads
+    (Neighborhood((2,)), {}),
+    # a Verified of unknown kind inside the advice window
+    (Verified("bogus", 2), dict(t=3, dist=1)),
+], ids=["FlyConstR", "Neighborhood", "Verified"])
+def test_one_handed_id_keeps_the_network_connected(msg, registers):
+    # nodes 0 and 1 know each other and node 2 knows nobody: the message in
+    # node 0's channel is node 2's only link, and a split network never
+    # rejoins, so the node-round that consumes it must keep the id
+    cfg = initial_configuration({0: {1}, 1: {0}, 2: set()})
+    for name, value in registers.items():
+        setattr(cfg.nodes[0], name, value)
+    cfg.nodes[0].channel = [msg]
+    assert is_weakly_connected(cfg)
+    for _ in range(12):
+        step_round(cfg)
+        assert is_weakly_connected(cfg), cfg.round_no
 
 
 def test_exit_spreads_through_flyover():

@@ -288,6 +288,30 @@ def test_node_round_only_uses_known_ids(data):
         assert after.id not in reg
 
 
+@settings(max_examples=300, deadline=None)
+@given(node=node_states(), delivered=hs.lists(messages, max_size=10))
+# a construction probe beyond the only level, a Neighborhood, which no
+# handler reads, and a Verified of unknown kind inside the advice window
+@example(node=NodeState(id=0, L=[1], vid=2, c_par=1, c_dist=1),
+         delivered=[FlyConstR(level=2, sender=1, w=2)])
+@example(node=NodeState(id=0), delivered=[Neighborhood((2,))])
+@example(node=NodeState(id=0, t=3, dist=1), delivered=[Verified("bogus", 2)])
+def test_node_round_keeps_every_handed_id(node, delivered):
+    # the round leaves edges node-k for each k the node stores and d-x for
+    # each send (d, msg) with x in msg.ids(); every id the node held or was
+    # handed must stay connected to it in them, or a weakly connected
+    # network can split, never to rejoin
+    held = (node.address_ids() | vouched_ids(delivered)) - {node.id}
+    after, out = node_round(node.clone(), list(delivered))
+    edges = [(node.id, k) for k in after.address_ids()]
+    edges += [(dest, x) for dest, msg in out.sends for x in msg.ids()]
+    adj = {node.id: set()}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    assert held <= set(bfs_distances(adj, node.id))
+
+
 # The message kinds each guarded step of node_round reads; without any of
 # them it must leave the node and the round's output alone.
 GUARDED_KINDS = {

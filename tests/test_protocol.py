@@ -17,6 +17,7 @@ from linfly.core import (
     PathPlus,
     RejFlyover,
     RequestSnapshot,
+    Rev,
     TestAdvice,
     TestCert,
     TestFlyID,
@@ -26,11 +27,27 @@ from linfly.core import (
     Verified,
 )
 from linfly import protocol
-from linfly.protocol import RoundOutput, next_stop, node_round, well_formed_advice
+from linfly.baseline import base_step
+from linfly.protocol import next_stop, node_round, well_formed_advice
 
 
 def run_node(st, delivered=()):
     return node_round(st.clone(), list(delivered))
+
+
+def run_to_base_step(st, delivered, monkeypatch):
+    """Run a node-round; return the base memory base_step was handed (what
+    the round kept, before the base algorithm delegates), the new state and
+    the round's output."""
+    handed = []
+
+    def spy(self_id, mem, msgs):
+        handed.append(set(mem))
+        return base_step(self_id, mem, msgs)
+
+    monkeypatch.setattr(protocol, "base_step", spy)
+    new, out = run_node(st, delivered)
+    return handed[0], new, out
 
 
 # --- routing ----------------------------------------------------------------
@@ -287,9 +304,10 @@ def test_construction_beyond_known_levels_keeps_ids(msg_type):
     assert new.exit == 0 and RejFlyover() not in (m for _, m in out.sends)
     assert new.base_mem == {2, 9}
     assert (new.L, new.R) == (st.L, st.R)
-    # with a single level the announcement is simply ignored
+    # with a single level the announcement is no fault either, and the
+    # ids it hands over are kept all the same
     new1, _ = run_node(_fly_receiver(msg_type, 1), [msg])
-    assert new1.exit == 0 and new1.base_mem == set()
+    assert new1.exit == 0 and new1.base_mem == {2, 9}
 
 # --- metadata ---------------------------------------------------------------
 
@@ -456,21 +474,20 @@ def test_transform_duplicate_parent_ignored():
 
 
 @pytest.mark.parametrize("kind", ["parent", "sib+", "sib-"])
-def test_transform_duplicate_claim_ignores_and_keeps_every_id(kind):
+def test_transform_duplicate_claim_ignores_and_keeps_every_id(kind, monkeypatch):
     # the first claim fills its slot, the second sets ignore; every id
     # claimed goes to base memory and no path edge is emitted
     st = NodeState(id=4, t=3, dist=1)
-    out = RoundOutput()
     claims = [Verified("parent", 9), Verified(kind, 5), Verified(kind, 6)]
-    protocol._local_transform(st, {Verified: claims}, out)
+    mem, _, out = run_to_base_step(st, claims, monkeypatch)
     assert not any(isinstance(m, (PathPlus, PathMinus)) for _, m in out.sends)
-    assert st.base_mem == {9, 5, 6}
+    assert mem == {9, 5, 6}
 
 
-@pytest.mark.parametrize("t,kept", [(3, set()), (0, {9})])
+@pytest.mark.parametrize("t,kept", [(3, {9}), (0, {9})])
 def test_transform_unknown_kind_fills_no_slot(t, kept):
-    # a kind outside VERIFIED_KINDS is no claim: inside the advice window
-    # its id is dropped, outside it the id is kept like any ignored claim
+    # a kind outside VERIFIED_KINDS is no claim, but its id is handed over:
+    # inside the advice window and outside it, the id is kept
     new, _ = run_node(NodeState(id=4, t=t, dist=1), [Verified("bogus", 9)])
     assert new.base_mem == kept
 
@@ -483,10 +500,11 @@ def test_transform_unknown_kind_beside_a_claim(bag):
     # messages of one class are sorted before the pipeline reads them, and
     # a kind outside VERIFIED_KINDS sorts like any other string: the claim
     # still fills its slot and emits the path edge, and the unknown kind's
-    # id gets only the no-flyover notice, never a place in base memory
+    # id is kept like every handed id, so base_step delegates it toward 2
     new, out = run_node(NodeState(id=5, t=3, dist=1), bag)
     assert out.sends == [(1, TestFlyID(None)), (2, TestFlyID(None)),
-                         (2, PathPlus(5)), (5, PathMinus(2)), (2, Base(5))]
+                         (2, PathPlus(5)), (5, PathMinus(2)), (2, Base(5)),
+                         (1, Rev(2))]
     assert new.base_mem == {2}
 
 
@@ -525,11 +543,11 @@ def test_join_path_duplicate_refused():
 
 @pytest.mark.parametrize("kind,side,ids", [(PathPlus, "R", (5, 6)),
                                            (PathMinus, "L", (3, 2))])
-def test_join_path_duplicate_claim_keeps_both_ids(kind, side, ids):
+def test_join_path_duplicate_claim_keeps_both_ids(kind, side, ids, monkeypatch):
     st = NodeState(id=4, t=2, vid=2, c_par=1, c_dist=1, dist=1)
-    protocol._join_path(st, {kind: [kind(v) for v in ids]})
-    assert getattr(st, side) == []
-    assert st.base_mem == set(ids)
+    mem, new, _ = run_to_base_step(st, [kind(v) for v in ids], monkeypatch)
+    assert getattr(new, side) == []
+    assert mem == set(ids)
 
 
 def test_advised_neighbors_copied_to_base():
