@@ -1,6 +1,7 @@
 """Node round transition: checks, teardown, construction, advice pipeline."""
 
 import inspect
+import itertools
 import re
 
 import pytest
@@ -556,6 +557,166 @@ def test_advised_neighbors_copied_to_base():
     new, _ = run_node(st)
     assert 2 in new.base_mem
     assert 2 in new.c_ids  # copied, not moved
+
+
+# --- when each advice-pipeline stage acts -----------------------------------
+
+# Exhaustive tables over small domains; each expected outcome is derived
+# from the stage's rule, not from the code. A node is ready when it is not
+# dual and its exit flag is 0, and each stage adds its own timer bound. A
+# node may be unready through its timer, its exit flag or a shortcut.
+ME = 4
+READINESS = [(t, exit_, left) for t in range(6)
+             for exit_, left in ((0, ()), (1, ()), (0, (7,)))]
+
+
+def _stage_node(t, exit_, left, **regs):
+    return NodeState(id=ME, t=t, exit=exit_, L=list(left), **regs)
+
+
+def _run_stage(stage, st, bags):
+    by_type = {}
+    for msg in bags:
+        by_type.setdefault(type(msg), []).append(msg)
+    out = protocol.RoundOutput()
+    if stage is protocol._join_path:
+        stage(st, by_type)
+    else:
+        stage(st, by_type, out)
+    return st.registers(), out.sends
+
+
+ADVICE_A = Advice(vid=2, c_par=1, c_dist=1, par=7, dist=1)
+ADVICE_OWN = Advice(vid=3, c_par=2, c_dist=2, par=ME, dist=2)
+
+
+def test_get_advice_acts_by_its_rule():
+    # acts iff an Advice arrived, the node is ready and t == 4; it then
+    # takes the first Advice
+    cases = 0
+    for (t, exit_, left), vid, dist, advs in itertools.product(
+            READINESS, (1, 2), (0, 1, 2),
+            ([], [ADVICE_A], [ADVICE_OWN], [ADVICE_A, ADVICE_OWN],
+             [ADVICE_OWN, ADVICE_A])):
+        st = _stage_node(t, exit_, left, vid=vid, dist=dist)
+        want = _stage_node(t, exit_, left, vid=vid, dist=dist)
+        sends = []
+        if advs and exit_ == 0 and not left and t == 4:
+            adv = advs[0]
+            want.vid, want.c_par, want.c_dist, want.dist = (
+                adv.vid, adv.c_par, adv.c_dist, adv.dist)
+            sends = [(adv.par, TestAdvice(ME, adv.dist))]
+        got = _run_stage(protocol._get_advice, st, [Intro(7), Intro(ME)] + advs)
+        assert got == (want.registers(), sends), (t, exit_, left, vid, dist, advs)
+        cases += 1
+    assert cases == 540
+
+
+def test_certify_tree_acts_by_its_rule():
+    # acts iff a TestAdvice arrived, the node is ready with t > 1 and every
+    # TestAdvice reports dist == st.dist + 1; the children are the distinct
+    # senders, in id order
+    reports = [(s, g) for c in range(3)
+               for s in itertools.product((6, 2, ME), repeat=c)
+               for g in itertools.product((1, 2), repeat=c)]
+    cases = 0
+    for (t, exit_, left), dist, (senders, gaps) in itertools.product(
+            READINESS, (0, 1, 2), reports):
+        st = _stage_node(t, exit_, left, dist=dist)
+        msgs = [TestAdvice(s, dist + g) for s, g in zip(senders, gaps)]
+        sends = []
+        if (msgs and exit_ == 0 and not left and t > 1
+                and all(g == 1 for g in gaps)):
+            kids = sorted(set(senders))
+            sends += [(c, Verified("parent", ME)) for c in kids]
+            sends += [(a, Verified("sib+", b)) for a, b in zip(kids, kids[1:])]
+            sends += [(b, Verified("sib-", a)) for a, b in zip(kids, kids[1:])]
+            sends += [(ME, Verified("child", c)) for c in kids]
+        want = _stage_node(t, exit_, left, dist=dist).registers()
+        got = _run_stage(protocol._certify_tree, st, msgs)
+        assert got == (want, sends), (t, exit_, left, dist, msgs)
+        cases += 1
+    assert cases == 18 * 3 * 43
+
+
+# the ids each claim kind names, first to last; OWN_CLAIM makes the first
+# claim of one kind name the node itself
+CLAIM_IDS = {"parent": (9, 8), "sib+": (5, 6), "sib-": (3, 2)}
+CHILD_IDS = ((), (7,), (7, 1), (7, 7))
+OWN_CLAIM = (None, "parent", "sib+", "sib-", "child")
+
+
+def _claims(kind, count, own):
+    ids = list(CLAIM_IDS[kind][:count])
+    if ids and own == kind:
+        ids[0] = ME
+    return ids
+
+
+def test_local_transform_acts_by_its_rule():
+    # acts iff the node is ready with t > 1 and dist >= 1, and it received
+    # exactly one parent claim, at most one sib+ and at most one sib-; an
+    # unknown kind is no claim, and the children are the distinct child ids.
+    # Odd depth points right (to the right sibling, else the parent) through
+    # the largest child; even depth mirrors it with the smallest child
+    cases = 0
+    for (t, exit_, left), dist, n_par, n_rs, n_ls, kids, unknown, own in \
+            itertools.product(READINESS, (0, 1, 2), range(3), range(3), range(3),
+                              CHILD_IDS, (False, True), OWN_CLAIM):
+        par = _claims("parent", n_par, own)
+        r_sib = _claims("sib+", n_rs, own)
+        l_sib = _claims("sib-", n_ls, own)
+        kids = [ME] + list(kids[1:]) if kids and own == "child" else list(kids)
+        msgs = ([Verified("parent", v) for v in par]
+                + [Verified("sib+", v) for v in r_sib]
+                + [Verified("sib-", v) for v in l_sib]
+                + [Verified("child", v) for v in kids]
+                + [Verified("bogus", 11)] * unknown)
+        sends = []
+        if (exit_ == 0 and not left and t > 1 and dist >= 1
+                and len(par) == 1 and len(r_sib) <= 1 and len(l_sib) <= 1):
+            if dist % 2:
+                target = (r_sib or par)[0]
+                via = max(kids, default=ME)
+                sends = [(target, PathPlus(via)), (via, PathMinus(target))]
+            else:
+                target = (l_sib or par)[0]
+                via = min(kids, default=ME)
+                sends = [(target, PathMinus(via)), (via, PathPlus(target))]
+        st = _stage_node(t, exit_, left, dist=dist)
+        want = _stage_node(t, exit_, left, dist=dist).registers()
+        got = _run_stage(protocol._local_transform, st, msgs)
+        assert got == (want, sends), (t, exit_, left, dist, msgs)
+        cases += 1
+    assert cases == 18 * 3 * 27 * 4 * 2 * 5
+
+
+def test_join_path_acts_by_its_rule():
+    # acts iff the node is ready with t >= 1, at most one PathPlus and at
+    # most one PathMinus arrived, and no PathMinus arrived at vid 1; each
+    # side then takes its claim unless the claim is the node's own id
+    cases = 0
+    for (t, exit_, left), vid, n_plus, n_minus, own in itertools.product(
+            READINESS, (1, 2), range(3), range(3), (None, "plus", "minus")):
+        plus = [5, 6][:n_plus]
+        minus = [3, 2][:n_minus]
+        if own == "plus" and plus:
+            plus[0] = ME
+        if own == "minus" and minus:
+            minus[0] = ME
+        want = _stage_node(t, exit_, left, vid=vid)
+        if (exit_ == 0 and not left and t >= 1 and len(plus) <= 1
+                and len(minus) <= 1 and not (minus and vid == 1)):
+            if plus and plus[0] != ME:
+                want.R = list(plus)
+            if minus and minus[0] != ME:
+                want.L = list(minus)
+        st = _stage_node(t, exit_, left, vid=vid)
+        msgs = [PathPlus(v) for v in plus] + [PathMinus(v) for v in minus]
+        got = _run_stage(protocol._join_path, st, msgs)
+        assert got == (want.registers(), []), (t, exit_, left, vid, msgs)
+        cases += 1
+    assert cases == 18 * 2 * 9 * 3
 
 
 def test_timer_clamps_and_counts_down():
