@@ -5,9 +5,10 @@ response handlers for last round's flyover traffic, flyover test senders,
 the advice pipeline (timer, snapshot, advice intake, tree certification,
 local transform, path join), the keep step, and finally the base algorithm.
 The keep step is the one rule for handed ids: every id a delivered message
-of KEPT_KINDS carries, and every certificate id, goes to base memory, so
-ignoring decides only whether the transform or the join acts. Response
-handlers run before the test senders so that a shortcut level learned from
+of KEPT_KINDS carries, and every certificate id, goes to base memory. So
+an advice stage decides only whether it acts, by one predicate over the
+node's registers and the claims it received, which its docstring states;
+each asks that the node be ready (_ready). Response handlers run before the test senders so that a shortcut level learned from
 this round's deliveries is propagated in this round's sends; that keeps
 construction at one level per round. An exit flag raised by a response
 handler still takes effect (teardown) only next round.
@@ -277,103 +278,77 @@ def _snapshot_req(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     out.to_supervisor.append(Neighborhood(tuple(snap)))
 
 
+def _ready(st: NodeState) -> bool:
+    """What every advice stage asks of a node, besides its timer bound."""
+    return not st.dual and st.exit == 0
+
+
 def _get_advice(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    busy = not (not st.dual and st.exit == 0 and st.t > 1)
-    snap = {m.id for m in by_type.get(Intro, ())}
-    advs = by_type.get(Advice, ())
-    if advs and not busy and st.t == 4:
+    """Acts iff an Advice arrived, the node is ready and t == 4: it takes
+    the first Advice if it is well formed against this round's Intros."""
+    advs = by_type.get(Advice)
+    if advs and _ready(st) and st.t == 4:
         adv = advs[0]
-        if well_formed_advice(adv, snap):
-            st.vid = adv.vid
-            st.c_par = adv.c_par
-            st.c_dist = adv.c_dist
+        if well_formed_advice(adv, {m.id for m in by_type.get(Intro, ())}):
+            st.vid, st.c_par, st.c_dist = adv.vid, adv.c_par, adv.c_dist
             st.dist = adv.dist
             if adv.par is not None:
                 out.sends.append((adv.par, TestAdvice(st.id, st.dist)))
 
 
 def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    ignore = not (not st.dual and st.exit == 0 and st.t > 1)
-    children: set[NodeId] = set()
-    for m in by_type.get(TestAdvice, ()):
-        children.add(m.sender)
-        if st.dist != m.dist - 1:
-            ignore = True
-    if not ignore and children:
-        _setup_local_transform(st, sorted(children), out)
-
-
-def _setup_local_transform(st: NodeState, children: list[NodeId],
-                           out: RoundOutput) -> None:
-    q = len(children)
-    for c in children:
-        out.sends.append((c, Verified("parent", st.id)))
-    for j in range(1, q):
-        out.sends.append((children[j - 1], Verified("sib+", children[j])))
-    for j in range(q - 1):
-        out.sends.append((children[j + 1], Verified("sib-", children[j])))
-    for c in children:
-        out.sends.append((st.id, Verified("child", c)))
-
-
-def _claim(slots: dict, key, v: NodeId, ignore: bool) -> bool:
-    """The claim rule of the advice pipeline's single-id slots: the first
-    claim fills its slot; a second claim, or any claim made once ignoring,
-    leaves the slot as it is and sets ignore. Returns ignore."""
-    if slots[key] is not None:
-        ignore = True
-    if not ignore:
-        slots[key] = v
-    return ignore
+    """Acts iff a TestAdvice arrived, the node is ready with t > 1 and every
+    TestAdvice reports dist == st.dist + 1. The distinct senders, in id
+    order, are its children: each learns its parent and its neighbouring
+    siblings, and the node tells itself who its children are."""
+    tests = by_type.get(TestAdvice)
+    if not (tests and _ready(st) and st.t > 1
+            and all(m.dist == st.dist + 1 for m in tests)):
+        return
+    kids = sorted({m.sender for m in tests})
+    out.sends += [(c, Verified("parent", st.id)) for c in kids]
+    out.sends += [(a, Verified("sib+", b)) for a, b in zip(kids, kids[1:])]
+    out.sends += [(b, Verified("sib-", a)) for a, b in zip(kids, kids[1:])]
+    out.sends += [(st.id, Verified("child", c)) for c in kids]
 
 
 def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
-    ignore = not (not st.dual and st.exit == 0 and st.t > 1)
-    slots = dict.fromkeys(("parent", "sib+", "sib-"))
-    children: set[NodeId] = set()
+    """Acts iff the node is ready with t > 1 and dist >= 1, and it received
+    exactly one parent claim, at most one sib+ and at most one sib-; a kind
+    other than these and child is ignored. It then emits the one
+    advised-path edge it is responsible for: odd depth points right (to the
+    right sibling, else the parent) through its largest child, even depth
+    mirrors that to the left through its smallest child."""
+    claims = defaultdict(list)
     for m in by_type.get(Verified, ()):
-        if m.kind in slots:
-            ignore = _claim(slots, m.kind, m.id, ignore)
-        elif m.kind == "child":
-            children.add(m.id)
-    parent, r_sib, l_sib = slots.values()
-    if (parent is None and st.dist != 0) or (parent is not None and st.dist < 1):
-        ignore = True
-    if not ignore and parent is not None:
-        _execute_transform(st, parent, r_sib, l_sib, sorted(children), out)
-
-
-def _execute_transform(st: NodeState, parent: NodeId, r_sib: Optional[NodeId],
-                       l_sib: Optional[NodeId], children: list[NodeId],
-                       out: RoundOutput) -> None:
-    """Emit the one advised-path edge this node is responsible for.
-
-    Odd depth points right (to parent or right sibling, possibly through the
-    largest child); even depth mirrors to the left with the smallest child.
-    """
+        claims[m.kind].append(m.id)
+    par, r_sib, l_sib = claims["parent"], claims["sib+"], claims["sib-"]
+    kids = claims["child"]
+    if not (_ready(st) and st.t > 1 and st.dist >= 1
+            and len(par) == 1 and len(r_sib) <= 1 and len(l_sib) <= 1):
+        return
     if st.dist % 2 == 1:
-        toward, back, sib, end = PathPlus, PathMinus, r_sib, -1
+        toward, back, sib, via = PathPlus, PathMinus, r_sib, max(kids, default=st.id)
     else:
-        toward, back, sib, end = PathMinus, PathPlus, l_sib, 0
-    target = parent if sib is None else sib
-    via = children[end] if children else st.id
+        toward, back, sib, via = PathMinus, PathPlus, l_sib, min(kids, default=st.id)
+    target = (sib or par)[0]
     out.sends.append((target, toward(via)))
     out.sends.append((via, back(target)))
 
 
 def _join_path(st: NodeState, by_type: dict) -> None:
-    ignore = not (not st.dual and st.exit == 0 and st.t >= 1)
-    slots = {PathPlus: None, PathMinus: None}
-    # the leftmost path position takes no left neighbour
-    for kind, barred in ((PathPlus, False), (PathMinus, st.vid == 1)):
-        for m in by_type.get(kind, ()):
-            ignore = _claim(slots, kind, m.id, ignore or barred)
-    fly_r, fly_l = slots.values()
-    if not ignore:
-        if fly_l is not None and fly_l != st.id:
-            st.L = [fly_l]
-        if fly_r is not None and fly_r != st.id:
-            st.R = [fly_r]
+    """Acts iff the node is ready with t >= 1, at most one PathPlus and at
+    most one PathMinus arrived, and no PathMinus at vid 1: the leftmost path
+    position takes no left neighbour. Each side then takes its claim as its
+    level-one shortcut unless the claim is the node's own id."""
+    plus, minus = by_type.get(PathPlus, ()), by_type.get(PathMinus, ())
+    if not (_ready(st) and st.t >= 1 and len(plus) <= 1 and len(minus) <= 1
+            and not (minus and st.vid == 1)):
+        return
+    if minus and minus[0].id != st.id:
+        st.L = [minus[0].id]
+    if plus and plus[0].id != st.id:
+        st.R = [plus[0].id]
 
 
 def node_round(state: NodeState, delivered: list[Message]) -> tuple[NodeState, RoundOutput]:
