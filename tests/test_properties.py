@@ -443,7 +443,11 @@ def _reference_monitors(config, source, target):
               for u, st in nodes.items()}
     link = {u: set() for u in nodes}
     for u, st in nodes.items():
-        carried = {v for msg in st.channel for v in msg.ids()}
+        # a supervisor message resting in a channel hands over no id; read
+        # by type, not through vouched_ids, so the oracle stays independent
+        carried = {v for msg in st.channel
+                   if not isinstance(msg, (Advice, RequestSnapshot))
+                   for v in msg.ids()}
         for v in stored[u] | carried:
             if v in nodes and v != u:
                 link[u].add(v)
@@ -490,6 +494,16 @@ def test_fused_monitors_match_reference_and_public_checks(data):
     assert degree == _degree_high_water(cfg)
     assert legal == is_legal(cfg)
     assert distance == bfs_distances(communication_graph(cfg), source).get(target, n)
+
+
+def test_reference_monitors_read_no_edge_from_a_supervisor_message():
+    # two nodes, one Advice naming node 0 in node 1's channel: split, as
+    # rounds() reads it, since no node-round may keep what Advice names
+    cfg = initial_configuration({0: set(), 1: set()})
+    cfg.nodes[1].channel = [Advice(0, 0, 0, 0, 0)]
+    _r, _stats, (connected, degree, _legal, distance) = next(rounds(cfg, (0, 1), 0))
+    assert (connected, degree, distance) == (False, 0, 2)
+    assert _reference_monitors(cfg, 0, 1) == (connected, degree, distance)
 
 
 @settings(max_examples=200, deadline=None)
