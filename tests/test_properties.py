@@ -48,6 +48,7 @@ from linfly.engine import (
     RoundStats,
     Scenario,
     classify_structures,
+    default_max_rounds,
     is_legal,
     rounds,
     start,
@@ -297,19 +298,92 @@ def test_node_round_only_uses_known_ids(data):
 @example(node=NodeState(id=0), delivered=[Neighborhood((2,))])
 @example(node=NodeState(id=0, t=3, dist=1), delivered=[Verified("bogus", 2)])
 def test_node_round_keeps_every_handed_id(node, delivered):
-    # the round leaves edges node-k for each k the node stores and d-x for
-    # each send (d, msg) with x in msg.ids(); every id the node held or was
-    # handed must stay connected to it in them, or a weakly connected
-    # network can split, never to rejoin
-    held = (node.address_ids() | vouched_ids(delivered)) - {node.id}
     after, out = node_round(node.clone(), list(delivered))
+    assert not _dropped_ids(node, delivered, after, out)
+
+
+def _dropped_ids(node, delivered, after, out, present=None) -> set:
+    """The local keep rule: the round leaves edges node-k for each k the
+    node stores and d-x for each send (d, msg) with x in msg.ids(); every id
+    the node held or was handed must stay connected to it in them, or a
+    weakly connected network can split, never to rejoin. Returns the ids it
+    drops. With present, only edges between present ids count, and only
+    present ids must stay connected."""
+    held = (node.address_ids() | vouched_ids(delivered)) - {node.id}
     edges = [(node.id, k) for k in after.address_ids()]
     edges += [(dest, x) for dest, msg in out.sends for x in msg.ids()]
     adj = {node.id: set()}
     for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    assert held <= set(bfs_distances(adj, node.id))
+        if present is None or (a in present and b in present):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    held -= set(bfs_distances(adj, node.id))
+    return held if present is None else held & present
+
+
+def _keep_rule_run(scenario, round_fn):
+    """Step scenario through round_fn to legality and 2n rounds on (or to
+    default_max_rounds), checking the local keep rule on every node-round
+    that step_round computes. Returns the drops found as (round, node,
+    ids), the number of node-rounds checked, the rounds read as
+    disconnected and the first legal round (None if none)."""
+    cfg, _pair = start(scenario)
+    present = set(cfg.nodes)
+    drops, checked, split = [], [0], []
+
+    def checking_round(state, delivered):
+        before = state.clone()
+        after, out = round_fn(state, delivered)
+        checked[0] += 1
+        lost = _dropped_ids(before, delivered, after, out, present)
+        if lost:
+            drops.append((cfg.round_no + 1, state.id, lost))
+        return after, out
+
+    n, legal_at = scenario.n, None
+    with mock.patch.object(engine, "node_round", checking_round):
+        for r, _stats, (connected, _degree, legal, _distance) in rounds(
+                cfg, None, default_max_rounds(n)):
+            if not connected:
+                split.append(r)
+            if legal and legal_at is None:
+                legal_at = r
+            if legal_at is not None and r >= legal_at + 2 * n:
+                break
+    return drops, checked[0], split, legal_at
+
+
+KEEP_RULE_GRID = [
+    Scenario(n=n, topology=topology, supervisor=mode, corruption=corruption,
+             seed=seed)
+    for mode in SUPERVISOR_MODES for corruption in CORRUPTIONS
+    for topology in ("random_connected", "shuffled_path", "far_pair")
+    for n in (8, 16) for seed in (0, 1)]
+
+
+def test_every_computed_node_round_keeps_the_rule_over_full_runs():
+    # ROADMAP item 13's rule on every node-round of 384 full runs, which
+    # must also stay connected in every round
+    checked = 0
+    for scenario in KEEP_RULE_GRID:
+        drops, computed, split, legal_at = _keep_rule_run(scenario,
+                                                          protocol.node_round)
+        assert (drops, split) == ([], []) and legal_at is not None, scenario
+        checked += computed
+    assert len(KEEP_RULE_GRID) == 384 and checked > 0
+
+
+def test_keep_rule_check_fires_on_a_round_that_forgets():
+    # the negative control: a round function that clears base memory and
+    # sends nothing drops every id it held
+    def forgetful_round(state, delivered):
+        state.base_mem = set()
+        return state, RoundOutput()
+
+    drops, computed, split, _legal_at = _keep_rule_run(
+        Scenario(n=8, supervisor="none"), forgetful_round)
+    assert computed > 0 and split
+    assert drops and drops[0][0] == 1
 
 
 # The message kinds each guarded step of node_round reads; without any of
