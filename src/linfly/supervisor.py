@@ -173,9 +173,9 @@ def honest_step(state: SupervisorState,
 
     With at least two members, it advises whenever every member's
     Neighborhood report is in inbound and the reports form a connected
-    graph, whether or not it asked for them, and then asks every member
-    for a snapshot whenever every member is attentive. Also drives the
-    malicious modes; they differ only in the advice payload.
+    graph, asked for or not (an advice round sends some advice), and then
+    asks every member for a snapshot whenever every member is attentive.
+    Also drives the malicious modes; they differ only in the advice payload.
     Supervisor-to-node messages returned here reach the nodes this round.
     """
     out: list[tuple[NodeId, Message]] = []
@@ -189,9 +189,9 @@ def honest_step(state: SupervisorState,
                     advice = compute_advice(snap)
                 else:
                     advice = malicious_step(state.strategy, state.membership, snap)
-                for u in sorted(advice):
-                    out.append((u, advice[u]))
-                state.advice_rounds.append(state.round_no)
+                if advice:
+                    out += sorted(advice.items())
+                    state.advice_rounds.append(state.round_no)
         if attentive >= state.membership:
             for u in sorted(state.membership):
                 out.append((u, RequestSnapshot()))

@@ -150,6 +150,16 @@ def test_reports_nobody_asked_for_are_advised_on():
     assert sup.advice_rounds == [0]
 
 
+def test_round_that_advises_nobody_is_no_advice_round():
+    # the reports are complete and connected, but split finds no half with
+    # two connected members, so its advice map is empty
+    sup = make_supervisor({0, 1, 2, 3}, "malicious", "split")
+    reports = neighborhood_reports({0: {2, 3}, 1: {3}, 2: {0}, 3: {0, 1}})
+    sup, out = honest_step(sup, reports, set())
+    assert out == []
+    assert sup.advice_rounds == []
+
+
 @hs.composite
 def supervisor_inputs(draw, membership):
     """One round's (inbound, attentive): reports from members and from ids
