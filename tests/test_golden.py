@@ -82,7 +82,7 @@ CLI_DIGESTS = {
 RUN_DIGESTS = {
     "honest": "06164154bfa9dcc1ab482508e5b7f711634017d9e53be553b18d50e03366baa5",
     "none": "36ecfad563895ca77daa84ec0e19a9eda58a346f011cee73ca1bf37249029c84",
-    "split": "116ac778b0feac7f5822a72bbea7b1d02c625483a185e9dd070977030327efd6",
+    "split": "9c93feb2a293da0f17b46c42ebeb4bf81d6cbccdaf1da5597bfd0405cd0dae65",
     "sybil": "ada38a3061244693866eefeb0af6f4cac75c0a88bd6f3ec434a0009984ffaa54",
     "wrong_vids": "21c9643c1af0e6870fbfa20edd5bae1953d92d871bc0ff5f2c3cd5ff751a518e",
     "cycle": "ab4bf1046bb4a9b88fae413df96759d5afe3965713cc375335562fa449ba0c46",
