@@ -5,13 +5,13 @@ response handlers for last round's flyover traffic, flyover test senders,
 the advice pipeline (timer, snapshot, advice intake, tree certification,
 local transform, path join), the keep step, and finally the base algorithm.
 The keep step is the one rule for handed ids: every id a delivered message
-of KEPT_KINDS carries, and every certificate id, goes to base memory. So
+of KEPT_KINDS carries, and every certificate id, goes to base memory, so
 an advice stage decides only whether it acts, by one predicate over the
-node's registers and the claims it received, which its docstring states;
-each asks that the node be ready (_ready). Response handlers run before the test senders so that a shortcut level learned from
-this round's deliveries is propagated in this round's sends; that keeps
-construction at one level per round. An exit flag raised by a response
-handler still takes effect (teardown) only next round.
+node's registers and the claims it received (stated in its docstring).
+Response handlers run before the test senders so that a shortcut level
+learned from this round's deliveries is propagated in this round's sends;
+that keeps construction at one level per round. An exit flag raised by a
+response handler still takes effect (teardown) only next round.
 
 A node-round costs what its inputs ask for: each response handler, and the
 advice pipeline as one block, runs only when a message kind it reads (the
@@ -327,11 +327,10 @@ def _local_transform(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     if not (_ready(st) and st.t > 1 and st.dist >= 1
             and len(par) == 1 and len(r_sib) <= 1 and len(l_sib) <= 1):
         return
-    if st.dist % 2 == 1:
-        toward, back, sib, via = PathPlus, PathMinus, r_sib, max(kids, default=st.id)
-    else:
-        toward, back, sib, via = PathMinus, PathPlus, l_sib, min(kids, default=st.id)
-    target = (sib or par)[0]
+    odd = st.dist % 2 == 1
+    toward, back = (PathPlus, PathMinus) if odd else (PathMinus, PathPlus)
+    target = ((r_sib if odd else l_sib) or par)[0]
+    via = (max if odd else min)(kids, default=st.id)
     out.sends.append((target, toward(via)))
     out.sends.append((via, back(target)))
 
