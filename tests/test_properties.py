@@ -164,6 +164,24 @@ def test_ids_follow_field_types(msg):
     assert msg.ids() == reference_ids(msg)
 
 
+# channels over every message class, some holding one object several times,
+# as a broadcast leaves it in a receiver's channel
+channels = hs.lists(messages, max_size=8).flatmap(
+    lambda ms: hs.lists(hs.sampled_from(ms), max_size=12) if ms else hs.just([]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(channel=channels)
+def test_vouched_ids_are_the_ids_of_node_messages(channel):
+    # the supervisor's messages vouch for no id; every other message for
+    # every id it carries
+    want = set()
+    for msg in channel:
+        if type(msg) not in (Advice, RequestSnapshot):
+            want.update(reference_ids(msg))
+    assert vouched_ids(channel) == want
+
+
 @given(data=hs.data())
 def test_message_fields_read_back_what_was_passed(data):
     # each class's derived __init__ stores every argument in its own field,

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import re
+from collections import defaultdict
 
 import pytest
 
@@ -28,7 +29,7 @@ from linfly.core import (
     Verified,
 )
 from linfly import protocol
-from linfly.baseline import base_step
+from linfly.baseline import base_step, flush
 from linfly.protocol import next_stop, node_round, well_formed_advice
 
 
@@ -76,6 +77,30 @@ def test_next_stop_empty_cases():
     assert next_stop(NodeState(id=1, vid=4, R=[5]), 0) is None
     assert next_stop(NodeState(id=1, vid=0, R=[5]), 2) is None
     assert next_stop(NodeState(id=1, vid=4, L=[3]), 6) is None
+
+
+def _next_stop_by_scan(st, val):
+    """next_stop as its definition reads: the shortcut on val's side whose
+    target position lies closest to val, the lowest level on ties."""
+    if val < 1 or val == st.vid or st.vid < 1:
+        return None
+    side, sign = (st.R, 1) if val > st.vid else (st.L, -1)
+    best, gap = None, None
+    for i, v in enumerate(side):
+        d = abs(st.vid + sign * 2 ** i - val)
+        if gap is None or d < gap:
+            best, gap = v, d
+    return best
+
+
+def test_next_stop_matches_the_scan_exhaustively():
+    for n_left, n_right in itertools.product(range(8), repeat=2):
+        st = NodeState(id=1000, L=list(range(100, 100 + n_left)),
+                       R=list(range(200, 200 + n_right)))
+        for st.vid in range(-1, 41):
+            for val in range(-2, 141):
+                assert next_stop(st, val) == _next_stop_by_scan(st, val), (
+                    n_left, n_right, st.vid, val)
 
 
 # --- advice well-formedness -------------------------------------------------
@@ -309,6 +334,117 @@ def test_construction_beyond_known_levels_keeps_ids(msg_type):
     # ids it hands over are kept all the same
     new1, _ = run_node(_fly_receiver(msg_type, 1), [msg])
     assert new1.exit == 0 and new1.base_mem == {2, 9}
+
+
+# --- response handlers against their definitions ----------------------------
+# The two handlers below are the response handlers as first written, reading
+# dual, vid and each level through the NodeState accessors on every message.
+# The tables run both on every level from -1 to two past the known ones, and
+# with None, a shortcut, a stranger or the node itself as an id, whether or
+# not the node is dual or has exited, singly and in pairs: the handlers must
+# leave equal registers and equal outputs.
+
+def _construction_by_levels(st, by_type, out):
+    for kind, near in ((TestLineR, st.L), (TestLineL, st.R)):
+        for m in by_type.get(kind, ()):
+            sen = m.sender
+            if not near or near[0] != sen:
+                protocol._reject(st, "line_sender", out)
+            if not st.dual or st.exit == 1:
+                protocol._refuse(st, (sen,), out)
+    for kind, near, level in ((FlyConstR, st.L, st.s_l), (FlyConstL, st.R, st.s_r)):
+        for m in by_type.get(kind, ()):
+            w, i, sen = m.w, m.level, m.sender
+            if (len(near) >= i and level(i) != sen) or not near:
+                protocol._reject(st, "const_sender", out)
+            if len(near) >= i + 1 and level(i + 1) != w:
+                protocol._reject(st, "const_next", out)
+            if st.exit == 0 and len(near) < i:
+                flush(st.base_mem, (sen, w), st.id)
+            if st.exit == 0 and len(near) == i and level(i) == sen:
+                if w != st.id:
+                    near.append(w)
+            if not st.dual or st.exit == 1:
+                protocol._refuse(st, (sen, w), out)
+
+
+def _metadata_by_registers(st, by_type, out):
+    for m in by_type.get(TestVID, ()):
+        if not st.dual or st.vid != m.vid:
+            protocol._reject(st, "vid", out)
+    for m in by_type.get(TestFlyID, ()):
+        f = m.flyid
+        if st.L and st.exit == 0 and st.flyid == st.id and f is not None:
+            st.flyid = f
+        if (st.flyid != f) if st.dual else (f is not None):
+            protocol._reject(st, "flyid", out)
+        if st.exit == 1 and f is not None:
+            protocol._refuse(st, (f,), out)
+
+
+def _handlers_agree(handler, definition, st, msgs):
+    results = []
+    for fn in (handler, definition):
+        by_type = defaultdict(list)
+        for m in msgs:
+            by_type[type(m)].append(m)
+        node, out = st.clone(), protocol.RoundOutput()
+        fn(node, by_type, out)
+        results.append((node, out))
+    assert results[0] == results[1], (st, msgs)
+
+
+ME, STRANGER = 50, 99
+NEAR_IDS, FAR_IDS = [40, 30, 20], [60, 70]
+
+
+def _facing(kind, n_near, n_far, exit_):
+    """A node with n_near levels on the side kind's messages are checked
+    against (L for the R kinds) and n_far on the other."""
+    near, far = NEAR_IDS[:n_near], FAR_IDS[:n_far]
+    left, right = (near, far) if kind in (TestLineR, FlyConstR) else (far, near)
+    return NodeState(id=ME, L=list(left), R=list(right), exit=exit_, vid=3)
+
+
+def test_construction_handler_matches_its_definition_on_one_message():
+    for kind in (TestLineR, TestLineL, FlyConstR, FlyConstL):
+        for n_near, n_far, exit_ in itertools.product(range(4), range(3), (0, 1)):
+            st = _facing(kind, n_near, n_far, exit_)
+            peers = [None, STRANGER, *NEAR_IDS[:n_near], *FAR_IDS[:n_far]]
+            if kind in (TestLineR, TestLineL):
+                msgs = [kind(sen) for sen in peers + [ME]]
+            else:
+                msgs = [kind(i, sen, w) for i, sen, w in itertools.product(
+                    range(-1, n_near + 3), peers, peers + [ME])]
+            for msg in msgs:
+                _handlers_agree(protocol._r_test_flyover_construction,
+                                _construction_by_levels, st, [msg])
+
+
+def test_construction_handler_matches_its_definition_on_pairs():
+    # the first message may grow the side the second one is checked against
+    for kind in (FlyConstR, FlyConstL):
+        for n_near, n_far in itertools.product((1, 2), (0, 1)):
+            st = _facing(kind, n_near, n_far, 0)
+            ids = [STRANGER, *NEAR_IDS]
+            msgs = [kind(i, sen, w) for i, sen, w in itertools.product(
+                range(n_near + 2), ids, ids)]
+            for pair in itertools.product(msgs, repeat=2):
+                _handlers_agree(protocol._r_test_flyover_construction,
+                                _construction_by_levels, st, list(pair))
+
+
+def test_metadata_handler_matches_its_definition():
+    flyids = [None, ME, 40, STRANGER]
+    probes = ([TestVID(v) for v in range(-1, 5)]
+              + [TestFlyID(f) for f in flyids])
+    for left, right, vid, exit_, flyid in itertools.product(
+            ([], [40]), ([], [60]), range(-1, 5), (0, 1), (ME, 40, STRANGER)):
+        st = NodeState(id=ME, L=list(left), R=list(right), vid=vid,
+                       exit=exit_, flyid=flyid)
+        for pair in itertools.product(probes, repeat=2):
+            _handlers_agree(protocol._r_test_flyover_metadata,
+                            _metadata_by_registers, st, list(pair))
 
 # --- metadata ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ import itertools
 import pytest
 
 from linfly import engine, protocol
-from linfly.core import Advice, Configuration, Intro, vouched_ids
+from linfly.core import Advice, Configuration, Intro, Rev, TestVID, vouched_ids
 from linfly.engine import (
     CORRUPTIONS,
     SUPERVISOR_MODES,
@@ -135,3 +135,31 @@ def test_step_round_matches_the_reference_audit_of_a_leaky_node(monkeypatch):
     monkeypatch.setattr(protocol, "node_round", leaky_round)
     config, _pair = start(Scenario(n=16, topology="star", supervisor="sybil"))
     assert _agree(config, 48) > 0
+
+
+def test_step_round_matches_the_reference_audit_of_shared_messages(monkeypatch):
+    # a node may hand one message object to several destinations, and the
+    # audit reads each object's ids once; every destination is still
+    # checked. Each node here sends one object carrying an id nobody
+    # vouched for, first to itself and then to two ids it never learnt,
+    # and an id-free probe to a third; a count that skipped a repeated
+    # send's or an id-free send's destination falls short of the reference
+    real = protocol.node_round
+
+    def leaky_round(state, delivered):
+        st, out = real(state, delivered)
+        u = st.id
+        shared = Rev(1000 + u)
+        out.sends += [(u, shared), (2000 + u, shared), (3000 + u, shared),
+                      (4000 + u, TestVID(1))]
+        return st, out
+
+    monkeypatch.setattr(engine, "node_round", leaky_round)
+    monkeypatch.setattr(protocol, "node_round", leaky_round)
+    n = 16
+    config, _pair = start(Scenario(n=n, supervisor="honest", seed=3))
+    stats = step_round(config.clone())
+    # the shared id and three destinations per node, on a round where every
+    # node is computed
+    assert stats.provenance_violations == 4 * n
+    assert _agree(config, 3 * n) > 0
