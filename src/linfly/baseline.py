@@ -48,11 +48,12 @@ def base_step(self_id: NodeId, mem: set[NodeId],
     """
     sends: list[Send] = []
     mem = set(mem)
+    me = Base(self_id)  # immutable, so one object serves every receiver
     for msg in delivered:
         if isinstance(msg, Base):
             mem.add(msg.id)
         elif isinstance(msg, Rev) and msg.dest != self_id:
-            sends.append((msg.dest, Base(self_id)))
+            sends.append((msg.dest, me))
 
     ordered = sorted(mem)
     lset = ordered[:bisect_left(ordered, self_id)]
@@ -60,12 +61,12 @@ def base_step(self_id: NodeId, mem: set[NodeId],
     new_mem = set()
     if lset:
         new_mem.add(lset[-1])
-        sends.append((lset[-1], Base(self_id)))
+        sends.append((lset[-1], me))
         for i in range(len(lset) - 1):
             sends.append((lset[i], Rev(lset[i + 1])))
     if rset:
         new_mem.add(rset[0])
-        sends.append((rset[0], Base(self_id)))
+        sends.append((rset[0], me))
         for i in range(1, len(rset)):
             sends.append((rset[i], Rev(rset[i - 1])))
     return new_mem, sends

@@ -212,17 +212,17 @@ def message_to_obj(msg: Message) -> list:
     return [type(msg).__name__] + [getattr(msg, f) for f in msg.__dataclass_fields__]
 
 
-_SUPERVISOR_KINDS = frozenset({Advice, RequestSnapshot})
+# the kinds whose ids() is always (), read off the annotations as ids() is
+ID_FREE_KINDS = frozenset(cls for cls in get_args(Message)
+                          if all(f.type in ("int", "str") for f in fields(cls)))
+_UNVOUCHED_KINDS = ID_FREE_KINDS | {Advice, RequestSnapshot}
 
 
 def vouched_ids(msgs) -> set[NodeId]:
     """Ids that the node-originated messages among msgs hand to their
-    receiver; supervisor messages (Advice, RequestSnapshot) vouch for none."""
-    out: set[NodeId] = set()
-    for msg in msgs:
-        if type(msg) not in _SUPERVISOR_KINDS:
-            out.update(msg.ids())
-    return out
+    receiver; supervisor messages (Advice, RequestSnapshot) vouch for none.
+    Neither they nor the ID_FREE_KINDS are asked for their ids."""
+    return set().union(*[m.ids() for m in msgs if type(m) not in _UNVOUCHED_KINDS])
 
 
 # --- node state ------------------------------------------------------------

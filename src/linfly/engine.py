@@ -44,6 +44,7 @@ from typing import Collection, Iterator, Optional
 from .core import (
     Configuration,
     FlyConstR,
+    ID_FREE_KINDS,
     NodeId,
     NodeState,
     PathMinus,
@@ -375,14 +376,17 @@ def step_round(config: Configuration) -> RoundStats:
                 # membership tests beat set unions here, since most messages
                 # carry one id
                 bad = st.address_ids() - vouched
+                prev = None
                 for dest, msg in out.sends:
                     if dest in pending:
                         pending[dest].append(msg)
                     if dest not in vouched:
                         bad.add(dest)
-                    for v in msg.ids():
-                        if v not in vouched:
-                            bad.add(v)
+                    if msg is not prev and type(msg) not in ID_FREE_KINDS:
+                        prev = msg
+                        for v in msg.ids():
+                            if v not in vouched:
+                                bad.add(v)
                 for msg in out.to_supervisor:
                     to_sup.append((u, msg))
                     for v in msg.ids():

@@ -75,17 +75,18 @@ def next_stop(st: NodeState, val: int) -> Optional[NodeId]:
     """Greedy routing hop toward the node at path position val.
 
     Picks the shortcut whose target position is closest to val, preferring
-    the lower level on ties. Empty when val is unreachable from here.
+    the lower level on ties. Empty when val is unreachable from here. The
+    shortcut at index i reaches distance 2**i, so the best one sits at the
+    power of two nearest to the distance, capped at the highest index.
     """
     if val < 1 or val == st.vid or st.vid < 1:
         return None
-    side, sign = (st.R, 1) if val > st.vid else (st.L, -1)
-    best, gap = None, None
-    for i, v in enumerate(side):
-        d = abs(st.vid + sign * 2 ** i - val)
-        if gap is None or d < gap:
-            best, gap = v, d
-    return best
+    side = st.R if val > st.vid else st.L
+    d = abs(val - st.vid)
+    i = d.bit_length() - 1  # 2**i <= d < 2**(i + 1); a tie keeps i
+    if 2 * d > 3 << i:
+        i += 1
+    return side[min(i, len(side) - 1)] if side else None
 
 
 def well_formed_advice(adv: Advice, snap: set[NodeId]) -> bool:
@@ -155,27 +156,29 @@ def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
 
 def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     # R-kind traffic comes from the left and is checked against the left
-    # side; L-kind traffic mirrors it
+    # side; L-kind traffic mirrors it. dual holds throughout: a side grows
+    # only when it is not empty. at is level i's shortcut (s_l or s_r)
+    dual = st.dual
     for kind, near in ((TestLineR, st.L), (TestLineL, st.R)):
         for m in by_type.get(kind, ()):
             sen = m.sender
             if not near or near[0] != sen:
                 _reject(st, "line_sender", out)
-            if not st.dual or st.exit == 1:
+            if not dual or st.exit == 1:
                 _refuse(st, (sen,), out)
-    for kind, near, level in ((FlyConstR, st.L, st.s_l), (FlyConstL, st.R, st.s_r)):
+    for kind, near in ((FlyConstR, st.L), (FlyConstL, st.R)):
         for m in by_type.get(kind, ()):
-            w, i, sen = m.w, m.level, m.sender
-            if (len(near) >= i and level(i) != sen) or not near:
+            w, i, sen, n = m.w, m.level, m.sender, len(near)
+            at = near[i - 1] if 0 < i <= n else None
+            if not near or (i <= n and at != sen):
                 _reject(st, "const_sender", out)
-            if len(near) >= i + 1 and level(i + 1) != w:
+            if i < n and (near[i] if i >= 0 else None) != w:
                 _reject(st, "const_next", out)
-            if st.exit == 0 and len(near) < i:
+            if st.exit == 0 and n < i:
                 flush(st.base_mem, (sen, w), st.id)
-            if st.exit == 0 and len(near) == i and level(i) == sen:
-                if w != st.id:
-                    near.append(w)
-            if not st.dual or st.exit == 1:
+            if st.exit == 0 and n == i and at == sen and w != st.id:
+                near.append(w)
+            if not dual or st.exit == 1:
                 _refuse(st, (sen, w), out)
 
 
@@ -204,14 +207,15 @@ def _r_test_conn_certificate(st: NodeState, by_type: dict, out: RoundOutput) -> 
 
 
 def _r_test_flyover_metadata(st: NodeState, by_type: dict, out: RoundOutput) -> None:
+    dual, vid = st.dual, st.vid  # no step here changes them
     for m in by_type.get(TestVID, ()):
-        if not st.dual or st.vid != m.vid:
+        if not dual or vid != m.vid:
             _reject(st, "vid", out)
     for m in by_type.get(TestFlyID, ()):
         f = m.flyid
         if st.L and st.exit == 0 and st.flyid == st.id and f is not None:
             st.flyid = f
-        if (st.flyid != f) if st.dual else (f is not None):
+        if (st.flyid != f) if dual else (f is not None):
             _reject(st, "flyid", out)
         if st.exit == 1 and f is not None:
             _refuse(st, (f,), out)

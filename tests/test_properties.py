@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 
 from linfly.baseline import base_step, flush
 from linfly.core import (
+    ID_FREE_KINDS,
     VERIFIED_KINDS,
     Advice,
     Base,
@@ -22,6 +23,7 @@ from linfly.core import (
     NodeState,
     PathMinus,
     PathPlus,
+    RejFlyover,
     RequestSnapshot,
     Rev,
     TestAdvice,
@@ -162,6 +164,13 @@ def reference_ids(msg) -> tuple:
 @given(msg=messages)
 def test_ids_follow_field_types(msg):
     assert msg.ids() == reference_ids(msg)
+
+
+def test_id_free_kinds_are_the_classes_without_id_fields():
+    # the audit and vouched_ids never ask these kinds for their ids
+    want = {cls for cls in MESSAGE_CLASSES
+            if all(f.type in ("int", "str") for f in dataclasses.fields(cls))}
+    assert ID_FREE_KINDS == want == {RejFlyover, TestVID, RequestSnapshot}
 
 
 # channels over every message class, some holding one object several times,
