@@ -288,7 +288,9 @@ def step_round(config: Configuration) -> RoundStats:
     without an extra round of lag; node-to-supervisor reports are queued
     for the next round. Per node, the audit records every id that leaves
     the round (stored or sent) without having been handed to the node by
-    its own registers or by a node-originated message.
+    its own registers or by a node-originated message. It checks every
+    send's destination, but skips the ids of a send that repeats the
+    previous send's message object or is of a kind in core.ID_FREE_KINDS.
 
     A node-round that repeats a fixed point is replayed, not recomputed.
     When a computed round leaves the node's registers unchanged and the

@@ -156,8 +156,7 @@ def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
 
 def _r_test_flyover_construction(st: NodeState, by_type: dict, out: RoundOutput) -> None:
     # R-kind traffic comes from the left and is checked against the left
-    # side; L-kind traffic mirrors it. dual holds throughout: a side grows
-    # only when it is not empty. at is level i's shortcut (s_l or s_r)
+    # side, L-kind mirrors it; a side grows only if non-empty, so dual holds
     dual = st.dual
     for kind, near in ((TestLineR, st.L), (TestLineL, st.R)):
         for m in by_type.get(kind, ()):
