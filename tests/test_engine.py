@@ -21,6 +21,7 @@ from linfly.core import (
     IntroCert,
     Neighborhood,
     NodeState,
+    RequestSnapshot,
     Rev,
     Verified,
     bfs_distances,
@@ -430,6 +431,38 @@ def test_replay_sees_a_stale_message_in_the_inbox(monkeypatch):
     cfg.nodes[4].channel.append(TestFlyID(5))
     _step_against_recomputation(cfg)
     assert cfg.nodes[4].exit == 1
+
+
+def test_a_replay_entry_owns_its_key():
+    # the step that records node 4's entry consumes the list held here; a
+    # stale message appended to that list and to node 4's next channel
+    # must not make the entry match, so the entry keeps a copy of it
+    cfg = seed_flyover(list(range(9)))
+    for _ in range(3):
+        held = cfg.nodes[4].channel
+        step_round(cfg)
+        if 4 in cfg.replay:
+            break
+    assert 4 in cfg.replay
+    held.append(TestFlyID(5))
+    cfg.nodes[4].channel.append(TestFlyID(5))
+    stats = _step_against_recomputation(cfg)
+    assert stats.causes[4] == ("flyid",)
+    assert cfg.nodes[4].exit == 1
+
+
+def test_supervisor_messages_leave_the_consumed_channel_alone(monkeypatch):
+    # a node's delivered list is its channel plus what the supervisor sends
+    # it; the channel itself must not gain the supervisor's messages
+    cfg = seed_flyover(list(range(9)))
+    cfg.supervisor = "stand-in"
+    monkeypatch.setattr(engine, "honest_step", lambda sup, inbox, attentive: (
+        sup, [(4, Advice(2, 1, 1, 7, 1)), (4, RequestSnapshot())]))
+    held = cfg.nodes[4].channel
+    before = list(held)
+    step_round(cfg)
+    assert held == before
+    assert cfg.nodes[4].channel is not held
 
 
 def test_replay_sees_a_changed_register(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from linfly.core import Advice, Intro, Neighborhood, RequestSnapshot
+from linfly.core import Advice, Intro, Neighborhood, RequestSnapshot, bfs_distances
 from linfly.protocol import well_formed_advice
 from linfly.supervisor import (
     STRATEGIES,
@@ -79,6 +79,69 @@ def test_snapshot_ignores_foreign_ids():
     # a report from outside the membership adds nothing either
     snap = snapshot_graph({1: frozenset({2}), 99: frozenset({1})}, {1, 2})
     assert snap == {1: {2}, 2: {1}}
+
+
+def union_snapshot(reports, membership):
+    """The snapshot by definition: the edge {u, v} for every member u whose
+    report names a member v other than u, and nothing else."""
+    edges = {frozenset((u, v)) for u in membership for v in reports.get(u, ())
+             if v in membership and v != u}
+    return {u: {v for e in edges if u in e for v in e if v != u}
+            for u in sorted(membership)}
+
+
+# ids 10 and 11 are never members: they report and are reported as outsiders
+report_ids = hs.integers(0, 11)
+reported = hs.lists(report_ids, max_size=6).map(tuple) | hs.frozensets(report_ids, max_size=6)
+
+
+@given(membership=hs.sets(hs.integers(0, 9), max_size=8),
+       reports=hs.dictionaries(report_ids, reported, max_size=10))
+@example(membership={1, 2, 3},
+         reports={1: (2, 2, 1, 10), 3: frozenset({3, 11}), 10: (1, 3)})
+def test_snapshot_is_the_union_of_member_reports(membership, reports):
+    # reports come as sent (tuples, repeats allowed) or as sets; reporters
+    # and ids outside the membership and each reporter's own id add nothing,
+    # and a member without a report still names a vertex
+    snap = snapshot_graph(reports, membership)
+    assert snap == union_snapshot(reports, membership)
+    assert list(snap) == sorted(membership)
+
+
+@hs.composite
+def report_rounds(draw):
+    """A membership and one round's inbound: reports from members and from
+    ids 8 and 9, which are not, any member reporting more than once, and
+    messages of other kinds; every member reports in about half the draws."""
+    membership = draw(hs.sets(hs.integers(0, 7), min_size=2, max_size=6))
+    wire = sorted(membership) + [8, 9]
+    senders = draw(hs.lists(hs.sampled_from(wire), max_size=10))
+    if draw(hs.booleans()):
+        senders += sorted(membership)
+    message = (hs.builds(Neighborhood, hs.lists(hs.sampled_from(wire), max_size=4).map(tuple))
+               | hs.builds(Intro, hs.sampled_from(wire))
+               | hs.just(RequestSnapshot()))
+    inbound = [(u, draw(message)) for u in draw(hs.permutations(senders))]
+    return membership, inbound
+
+
+@given(case=report_rounds())
+@example(case=({1, 2, 3, 4}, [
+    (1, Neighborhood((3, 4))), (9, Neighborhood((1, 4))), (2, Intro(4)),
+    (2, Neighborhood((3, 9))), (3, Neighborhood((4,))), (4, RequestSnapshot()),
+    (1, Neighborhood((2,))), (4, Neighborhood(()))]))
+def test_honest_step_advises_on_each_members_last_report(case):
+    # the last Neighborhood per member counts; other kinds and reports from
+    # outside the membership are ignored
+    membership, inbound = case
+    last = {u: msg.members for u, msg in inbound if isinstance(msg, Neighborhood)}
+    expected = union_snapshot(last, membership)
+    _sup, out = honest_step(make_supervisor(membership), inbound, set())
+    if (last.keys() >= membership
+            and len(bfs_distances(expected, min(expected))) == len(expected)):
+        assert out == sorted(compute_advice(expected).items())
+    else:
+        assert out == []
 
 
 def test_make_supervisor_validates():
