@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Collection, Mapping, Optional, Sequence, get_args
@@ -25,11 +25,13 @@ NodeId = int
 # None, tuple[NodeId, ...] its items, int and str nothing; any other
 # annotation raises at import. A class with fields gets a derived __init__
 # with the dataclass's parameters and annotations that stores each field
-# through its slot's descriptor; frozenness, equality, hashing, repr,
-# pickling and replace() stay the dataclass's own. It also gets key, the
-# order in which a node processes its messages: its fields in field order,
-# None before any id; a class without fields has key None, since its
-# messages are all equal. So a class's field order is its processing order.
+# through its slot's descriptor. A derived __setattr__ and __delattr__
+# raise FrozenInstanceError for any name (a frozen slotted dataclass's own
+# raise TypeError for a non-field on CPython 3.10-3.13); equality, hashing,
+# repr, pickling and replace() stay the dataclass's own. Every class gets
+# key, the order in which a node processes its messages: its fields in
+# field order, None before any id (a class without fields has key None, its
+# messages all being equal). So a class's field order is its processing order.
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,9 +203,14 @@ def _derive_key(cls: type) -> Optional[Callable[[Message], object]]:
     return staticmethod(namespace["key"])
 
 
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
 for _cls in get_args(Message):
     _cls.ids = _derive_ids(_cls)
     _cls.key = _derive_key(_cls)
+    _cls.__setattr__ = _cls.__delattr__ = _frozen
     if fields(_cls):
         _cls.__init__ = _derive_init(_cls)
 
