@@ -68,7 +68,8 @@ from .core import (
 )
 # node_round is a rebindable hook: tests swap in a broken round function
 # to prove the provenance audit actually fires on misbehaving nodes. A
-# round function must not mutate its delivered list: replay keys on it.
+# round function must not mutate its delivered list: it is usually the
+# node's channel itself, which step_round compares with the next one.
 from .protocol import node_round
 from . import supervisor
 from .supervisor import honest_step, make_supervisor
@@ -283,29 +284,33 @@ def step_round(config: Configuration) -> RoundStats:
     """Advance every node by one round, in place, and return the round's
     statistics.
 
-    The supervisor is stepped first and its messages are appended to this
-    round's deliveries, so a reaction to node reports reaches the nodes
-    without an extra round of lag; node-to-supervisor reports are queued
-    for the next round. Per node, the audit records every id that leaves
-    the round (stored or sent) without having been handed to the node by
-    its own registers or by a node-originated message. It checks every
-    send's destination, but skips the ids of a send that repeats the
-    previous send's message object or is of a kind in core.ID_FREE_KINDS.
+    The supervisor is stepped first and its messages follow the channel in
+    this round's deliveries, so a reaction to node reports reaches the
+    nodes without an extra round of lag; node-to-supervisor reports are
+    queued for the next round. The delivered list is the node's channel
+    itself, or, for a node the supervisor writes to, a new list of both;
+    no channel is appended to, and a consumed channel is freed when its
+    node's round ends unless the replay check below holds it. Per node,
+    the audit records every id that leaves the round (stored or sent)
+    without having been handed to the node by its own registers or by a
+    node-originated message. It checks every send's destination, but
+    skips the ids of a send that repeats the previous send's message
+    object or is of a kind in core.ID_FREE_KINDS.
 
     A node-round that repeats a fixed point is replayed, not recomputed.
     When a computed round leaves the node's registers unchanged and the
     node's next channel equals the one it just consumed, config.replay
-    keeps the round function, the registers, the whole delivered list,
-    the output and the audited violation count. A later round reuses that
-    entry only if the function is the same object and the registers and
-    the delivered list (supervisor messages included) compare equal; it
-    then replays the stored output (sends, rejection, causes) and adds the
-    stored count, without calling node_round or auditing again.
-    node_round is a deterministic function of registers and deliveries,
-    and the audit verdict is a function of the registers before and
-    after, the deliveries and the output, all identical on a hit, so a
-    replay yields exactly what a recomputation would. Every computed
-    node-round is audited.
+    keeps the round function, the registers, its own copy of the whole
+    delivered list, the output and the audited violation count. A later
+    round reuses that entry only if the function is the same object and
+    the registers and the delivered list (supervisor messages included)
+    compare equal; it then replays the stored output (sends, rejection,
+    causes) and adds the stored count, without calling node_round or
+    auditing again. node_round is a deterministic function of registers
+    and deliveries, and the audit verdict is a function of the registers
+    before and after, the deliveries and the output, all identical on a
+    hit, so a replay yields exactly what a recomputation would. Every
+    computed node-round is audited.
 
     The statistics name in changed every node whose registers changed or
     whose new channel differs from the one it consumed: no other node's
@@ -327,15 +332,15 @@ def step_round(config: Configuration) -> RoundStats:
     gc.disable()
     try:
         nodes = config.nodes
-        deliveries = {u: list(st.channel) for u, st in nodes.items()}
+        from_sup: dict[NodeId, list] = {}
 
         if config.supervisor is not None:
             attentive = {u for u, st in nodes.items() if st.attentive}
             config.supervisor, outbound = honest_step(
                 config.supervisor, config.sup_inbox, attentive)
             for u, msg in outbound:
-                if u in deliveries:
-                    deliveries[u].append(msg)
+                if u in nodes:
+                    from_sup.setdefault(u, []).append(msg)
         config.sup_inbox = []
 
         pending: dict[NodeId, list] = {u: [] for u in nodes}
@@ -354,7 +359,8 @@ def step_round(config: Configuration) -> RoundStats:
 
         for u in sorted(nodes):
             st = nodes[u]
-            delivered = deliveries[u]
+            channel = st.channel
+            delivered = channel + from_sup.pop(u) if u in from_sup else channel
             before = st.registers()
             entry = replay.get(u)
             if (entry is not None and entry[0] is round_fn
@@ -366,9 +372,8 @@ def step_round(config: Configuration) -> RoundStats:
                 for msg in out.to_supervisor:
                     to_sup.append((u, msg))
                 violations += entry[4]
-                same_registers.append((u, st.channel, None))
+                same_registers.append((u, channel, None))
             else:
-                channel = st.channel
                 vouched = st.address_ids()
                 vouched |= vouched_ids(delivered)
                 vouched.add(u)
@@ -416,7 +421,9 @@ def step_round(config: Configuration) -> RoundStats:
             if pending[u] != channel:
                 changed.add(u)
             elif entry is not None:
-                replay[u] = entry
+                # a copy, as delivered may be a channel someone still holds
+                fn, regs, seen, out, n_bad = entry
+                replay[u] = (fn, regs, list(seen), out, n_bad)
         for u, st in nodes.items():
             st.channel = pending[u]
         config.sup_inbox = to_sup

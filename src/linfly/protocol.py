@@ -149,8 +149,8 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
 
 def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
     # tell every named peer its flyover traffic is refused, keep the ids
-    for v in sorted(set(ids) - {st.id, None}):
-        out.sends.append((v, RejFlyover()))
+    rej = RejFlyover()
+    out.sends += [(v, rej) for v in sorted(set(ids) - {st.id, None})]
     flush(st.base_mem, ids, st.id)
 
 
@@ -274,10 +274,9 @@ def _snapshot_req(st: NodeState, by_type: dict, out: RoundOutput) -> None:
         return
     st.t = 5
     snap = sorted(st.base_mem)
-    for v in snap:
-        out.sends.append((v, Intro(st.id)))
-    for v in snap:
-        out.sends.append((st.id, Intro(v)))
+    me = Intro(st.id)
+    out.sends += [(v, me) for v in snap]
+    out.sends += [(st.id, Intro(v)) for v in snap]
     out.to_supervisor.append(Neighborhood(tuple(snap)))
 
 
@@ -309,7 +308,8 @@ def _certify_tree(st: NodeState, by_type: dict, out: RoundOutput) -> None:
             and all(m.dist == st.dist + 1 for m in tests)):
         return
     kids = sorted({m.sender for m in tests})
-    out.sends += [(c, Verified("parent", st.id)) for c in kids]
+    parent = Verified("parent", st.id)
+    out.sends += [(c, parent) for c in kids]
     out.sends += [(a, Verified("sib+", b)) for a, b in zip(kids, kids[1:])]
     out.sends += [(b, Verified("sib-", a)) for a, b in zip(kids, kids[1:])]
     out.sends += [(st.id, Verified("child", c)) for c in kids]

@@ -11,7 +11,7 @@ strategies distort the advice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Collection, Optional
 
 from .core import (
     Advice,
@@ -21,7 +21,6 @@ from .core import (
     RequestSnapshot,
     bfs_distances,
     orient,
-    undirected,
 )
 from .ttp import LabelledRootedTree, tree_to_path
 
@@ -47,13 +46,18 @@ def make_supervisor(membership, mode: str = "honest",
     return SupervisorState(membership=set(membership), strategy=strategy)
 
 
-def snapshot_graph(reports: dict[NodeId, frozenset],
+def snapshot_graph(reports: dict[NodeId, Collection[NodeId]],
                    membership: set[NodeId]) -> dict[NodeId, set[NodeId]]:
-    """Union the reported memberships into an undirected graph; ids
-    outside the membership, as reporter or as reported, are ignored."""
-    return undirected({u: {v for v in reports.get(u, ())
-                           if v in membership and v != u}
-                       for u in sorted(membership)})
+    """Union the members' reports into an undirected graph over the members
+    in id order, in one pass; other ids, as reporter or reported, and each
+    reporter's own id add no edge."""
+    adj: dict[NodeId, set[NodeId]] = {u: set() for u in sorted(membership)}
+    for u, vs in adj.items():
+        for v in reports.get(u, ()):
+            if v in adj and v != u:
+                vs.add(v)
+                adj[v].add(u)
+    return adj
 
 
 def compute_advice(snapshot: dict[NodeId, set[NodeId]]) -> dict[NodeId, Advice]:
@@ -175,12 +179,14 @@ def honest_step(state: SupervisorState,
     Neighborhood report is in inbound and the reports form a connected
     graph, asked for or not (an advice round sends some advice), and then
     asks every member for a snapshot whenever every member is attentive.
+    Each sender's last Neighborhood of the round is its report, kept as
+    sent; the snapshot graph is the one copy of the reports it builds.
     Also drives the malicious modes; they differ only in the advice payload.
     Supervisor-to-node messages returned here reach the nodes this round.
     """
     out: list[tuple[NodeId, Message]] = []
     if len(state.membership) >= 2:
-        reports = {sender: frozenset(msg.members) for sender, msg in inbound
+        reports = {sender: msg.members for sender, msg in inbound
                    if isinstance(msg, Neighborhood)}
         if reports.keys() >= state.membership:
             snap = snapshot_graph(reports, state.membership)

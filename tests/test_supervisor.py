@@ -1,5 +1,9 @@
 """Advice computation, the supervisor's round, and adversaries."""
 
+import random
+import tracemalloc
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
@@ -221,6 +225,38 @@ def test_round_that_advises_nobody_is_no_advice_round():
     sup, out = honest_step(sup, reports, set())
     assert out == []
     assert sup.advice_rounds == []
+
+
+def test_the_advice_step_holds_one_copy_of_the_snapshot():
+    # a dense snapshot: 200 members, each pair an edge with probability 1/2,
+    # every member reporting all its neighbours. The advice step's traced
+    # peak is measured in units of one adjacency of sets built from the
+    # reports. It reads about 1.13 units on CPython 3.10-3.13, where a
+    # frozenset copy of the reports, an out-set dict and the undirected
+    # union held at once read 2.87.
+    rng = random.Random(7)
+    adj = {u: set() for u in range(200)}
+    for u, v in combinations(adj, 2):
+        if rng.random() < 0.5:
+            adj[u].add(v)
+            adj[v].add(u)
+    inbound = [(u, Neighborhood(tuple(sorted(vs)))) for u, vs in adj.items()]
+    del adj
+    sup = make_supervisor(range(200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reference = {u: set(msg.members) for u, msg in inbound}
+        one = tracemalloc.get_traced_memory()[0] - base
+        del reference
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _sup, out = honest_step(sup, inbound, set())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 200
+    assert peak < 1.6 * one, peak / one
 
 
 @hs.composite
