@@ -67,9 +67,8 @@ from .core import (
     vouched_ids,
 )
 # node_round is a rebindable hook: tests swap in a broken round function
-# to prove the provenance audit actually fires on misbehaving nodes. A
-# round function must not mutate its delivered list: it is usually the
-# node's channel itself, which step_round compares with the next one.
+# to prove the provenance audit actually fires on misbehaving nodes. It
+# must not mutate its delivered list, often the node's channel itself.
 from .protocol import node_round
 from . import supervisor
 from .supervisor import honest_step, make_supervisor

@@ -150,7 +150,8 @@ def _reject_flyover(st: NodeState, out: RoundOutput) -> None:
 def _refuse(st: NodeState, ids: Collection[NodeId], out: RoundOutput) -> None:
     # tell every named peer its flyover traffic is refused, keep the ids
     rej = RejFlyover()
-    out.sends += [(v, rej) for v in sorted(set(ids) - {st.id, None})]
+    for v in sorted(set(ids) - {st.id, None}):
+        out.sends.append((v, rej))
     flush(st.base_mem, ids, st.id)
 
 
